@@ -70,8 +70,10 @@ int main() {
   table.set_header({"configuration", "accuracy %", "F1", "AUC"});
 
   for (const auto& variant : variants) {
-    auto monitor = std::make_unique<hpc::sim_backend>(
-        *rt.net, variant.cfg, hpc::noise_model{}, 99);
+    auto monitor = std::make_unique<hpc::resilient_monitor>(
+        std::make_unique<hpc::sim_backend>(*rt.net, variant.cfg,
+                                           hpc::noise_model{}, 99),
+        hpc::resilience_config::naive());
 
     core::detector_config dcfg;
     dcfg.events = {hpc::hpc_event::cache_misses};

@@ -52,10 +52,15 @@ core::scenario_runtime prepare(data::scenario_id id) {
   return core::prepare_scenario(id);
 }
 
-std::unique_ptr<hpc::sim_backend> make_monitor(nn::model& m,
-                                               std::uint64_t seed) {
+std::unique_ptr<hpc::sim_backend> make_reader(nn::model& m,
+                                              std::uint64_t seed) {
   return std::make_unique<hpc::sim_backend>(m, uarch::trace_gen_config{},
                                             hpc::noise_model{}, seed);
+}
+
+hpc::monitor_ptr make_monitor(nn::model& m, std::uint64_t seed) {
+  return std::make_unique<hpc::resilient_monitor>(
+      make_reader(m, seed), hpc::resilience_config::naive());
 }
 
 data::dataset attack_pool(const core::scenario_runtime& rt,

@@ -15,6 +15,7 @@
 #include "attack/metrics.hpp"
 #include "common/table.hpp"
 #include "core/pipeline.hpp"
+#include "hpc/resilient_monitor.hpp"
 #include "hpc/sim_backend.hpp"
 
 namespace advh::bench {
@@ -37,9 +38,12 @@ std::size_t scaled(std::size_t base);
 /// trained model cache is shared.
 core::scenario_runtime prepare(data::scenario_id id);
 
-/// Simulator monitor with the canonical noise model and a fixed seed.
-std::unique_ptr<hpc::sim_backend> make_monitor(nn::model& m,
-                                               std::uint64_t seed = 99);
+/// Simulator reader with the canonical noise model and a fixed seed.
+std::unique_ptr<hpc::sim_backend> make_reader(nn::model& m,
+                                              std::uint64_t seed = 99);
+
+/// Naively aggregating monitor over make_reader(m, seed).
+hpc::monitor_ptr make_monitor(nn::model& m, std::uint64_t seed = 99);
 
 /// A generated pool of attack-source images (fresh draws of the scenario's
 /// task, disjoint from train and test streams).

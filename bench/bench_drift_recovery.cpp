@@ -71,7 +71,7 @@ hpc::fault_config faults_for(double rate) {
 hpc::monitor_ptr make_stack(nn::model& m,
                             const std::optional<hpc::drift_profile>& drift,
                             double fault_rate) {
-  hpc::monitor_ptr stack = bench::make_monitor(m);
+  std::unique_ptr<hpc::raw_reader> stack = bench::make_reader(m);
   if (drift.has_value()) {
     stack = std::make_unique<hpc::drift_backend>(std::move(stack), *drift);
   }

@@ -78,7 +78,7 @@
 #include "fleet/fault_plan.hpp"
 #include "fleet/membership.hpp"
 #include "fleet/sim.hpp"
-#include "hpc/sim_backend.hpp"
+#include "hpc/resilient_monitor.hpp"
 #include "nn/models/models.hpp"
 
 using namespace advh;
@@ -213,7 +213,8 @@ struct fleet_rig {
     const auto events = hpc::core_events();
     dcfg.events = {events[0], events[1]};
     dcfg.repeats = 4;
-    hpc::sim_backend fit_monitor(model);
+    hpc::resilient_monitor fit_monitor(bench::make_reader(model),
+                                       hpc::resilience_config::naive());
     core::benign_template tpl(4, dcfg.events.size());
     for (std::size_t i = 0; i < 32; ++i) {
       const tensor x = bench_input(0.4 + 0.05 * static_cast<double>(i % 12));
@@ -233,7 +234,7 @@ struct fleet_rig {
     nn::model* m = model.get();
     d.make_monitor = [m, drift_magnitude, drift_onset_calls](
                          std::size_t) -> std::unique_ptr<hpc::hpc_monitor> {
-      auto inner = std::make_unique<hpc::sim_backend>(*m);
+      auto inner = bench::make_monitor(*m);
       if (drift_magnitude <= 0.0) return inner;
       return std::make_unique<step_drift_monitor>(
           std::move(inner), drift_onset_calls, drift_magnitude);

@@ -44,15 +44,17 @@ hpc::fault_config faults_for(double rate) {
 
 /// sim -> fault -> resilient stack with fixed seeds everywhere.
 hpc::monitor_ptr resilient_stack(nn::model& m, double rate) {
-  auto faulty = std::make_unique<hpc::fault_backend>(bench::make_monitor(m),
-                                                     faults_for(rate));
-  return std::make_unique<hpc::resilient_monitor>(std::move(faulty));
+  return std::make_unique<hpc::resilient_monitor>(
+      std::make_unique<hpc::fault_backend>(bench::make_reader(m),
+                                           faults_for(rate)));
 }
 
 /// sim -> fault stack: faulted readings aggregated naively.
 hpc::monitor_ptr naive_stack(nn::model& m, double rate) {
-  return std::make_unique<hpc::fault_backend>(bench::make_monitor(m),
-                                              faults_for(rate));
+  return std::make_unique<hpc::resilient_monitor>(
+      std::make_unique<hpc::fault_backend>(bench::make_reader(m),
+                                           faults_for(rate)),
+      hpc::resilience_config::naive());
 }
 
 struct eval_outcome {

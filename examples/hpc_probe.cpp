@@ -8,6 +8,7 @@
 #include "common/table.hpp"
 #include "hpc/factory.hpp"
 #include "hpc/perf_backend.hpp"
+#include "hpc/resilient_monitor.hpp"
 #include "nn/models/models.hpp"
 
 using namespace advh;
@@ -26,7 +27,9 @@ int main() {
     bool native = false;
     if (hpc::perf_events_available()) {
       try {
-        hpc::perf_backend backend(*model);
+        hpc::resilient_monitor backend(
+            std::make_unique<hpc::perf_backend>(*model),
+            hpc::resilience_config::naive());
         rng gen(1);
         tensor x = tensor::rand_uniform(shape{1, 3, 32, 32}, gen, 0.0f, 1.0f);
         auto m = backend.measure(x, std::vector<hpc::hpc_event>{e}, 1);

@@ -77,7 +77,7 @@ struct verification_report {
 
   /// Human-readable multi-line rendering (one line per diagnostic).
   std::string to_text() const;
-  /// Machine-readable rendering for tooling (advh_lint --json).
+  /// Machine-readable rendering for tooling.
   std::string to_json() const;
 };
 

@@ -16,7 +16,7 @@
 //                   head, batch-norm epsilon/momentum range contracts.
 //
 // Choke points (nn::load_state, core::prepare_scenario) call
-// ensure_verified and refuse to proceed on errors; the advh_lint tool
+// ensure_verified and refuse to proceed on errors; the advh_check tool
 // exposes the same report on the command line.
 #pragma once
 

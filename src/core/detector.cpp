@@ -194,33 +194,11 @@ verdict detector::classify(hpc::hpc_monitor& monitor, const tensor& x) const {
   return score(m.predicted, m.mean_counts, m.q.available);
 }
 
-verdict detector::classify(hpc::hpc_monitor& monitor, const tensor& x,
-                           std::size_t repeats,
-                           const hpc::measure_budget& budget) const {
-  const std::size_t r = repeats == 0 ? cfg_.repeats : repeats;
-  const auto m = monitor.measure(x, cfg_.events, r, budget);
-  return score(m.predicted, m.mean_counts, m.q.available);
-}
-
 std::vector<verdict> detector::classify_batch(hpc::hpc_monitor& monitor,
                                               std::span<const tensor> inputs,
                                               std::size_t threads) const {
   const auto ms =
       monitor.measure_batch(inputs, cfg_.events, cfg_.repeats, threads);
-  std::vector<verdict> out;
-  out.reserve(ms.size());
-  for (const auto& m : ms) {
-    out.push_back(score(m.predicted, m.mean_counts, m.q.available));
-  }
-  return out;
-}
-
-std::vector<verdict> detector::classify_batch(
-    hpc::hpc_monitor& monitor, std::span<const tensor> inputs,
-    std::size_t threads, std::size_t repeats,
-    const hpc::measure_budget& budget) const {
-  const std::size_t r = repeats == 0 ? cfg_.repeats : repeats;
-  const auto ms = monitor.measure_batch(inputs, cfg_.events, r, threads, budget);
   std::vector<verdict> out;
   out.reserve(ms.size());
   for (const auto& m : ms) {

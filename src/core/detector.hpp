@@ -160,28 +160,12 @@ class detector {
   /// the measurement's event-availability mask.
   verdict classify(hpc::hpc_monitor& monitor, const tensor& x) const;
 
-  /// Deadline-budgeted variant: `repeats` (when nonzero) overrides the
-  /// configured R — the serve layer's degradation ladder sheds repeats
-  /// under load — and `budget` caps what the resilient measurement layer
-  /// may spend on retries/backoff. Reduced-evidence measurements flow
-  /// through the same availability-mask scoring, so shedding composes
-  /// with the degraded/abstain fail-closed policy.
-  verdict classify(hpc::hpc_monitor& monitor, const tensor& x,
-                   std::size_t repeats,
-                   const hpc::measure_budget& budget) const;
-
   /// Measures and scores a batch through hpc_monitor::measure_batch;
   /// out[i] corresponds to inputs[i] and is bitwise identical to serial
   /// `classify` calls in the same order.
   std::vector<verdict> classify_batch(hpc::hpc_monitor& monitor,
                                       std::span<const tensor> inputs,
                                       std::size_t threads = 0) const;
-
-  /// Deadline-budgeted batch variant (see the budgeted `classify`).
-  std::vector<verdict> classify_batch(hpc::hpc_monitor& monitor,
-                                      std::span<const tensor> inputs,
-                                      std::size_t threads, std::size_t repeats,
-                                      const hpc::measure_budget& budget) const;
 
   const detector_config& config() const noexcept { return cfg_; }
   std::size_t num_classes() const noexcept { return models_.size(); }

@@ -6,17 +6,12 @@
 
 namespace advh::hpc {
 
-drift_backend::drift_backend(monitor_ptr inner, drift_profile profile)
+drift_backend::drift_backend(std::unique_ptr<raw_reader> inner,
+                             drift_profile profile)
     : inner_(std::move(inner)), profile_(std::move(profile)) {
   ADVH_CHECK(inner_ != nullptr);
   ADVH_CHECK_MSG(profile_.magnitude > 0.0,
                  "drift magnitude must be positive");
-  reader_ = dynamic_cast<raw_reader*>(inner_.get());
-  if (reader_ == nullptr) {
-    throw unsupported_error("drift_backend requires a raw_reader inner "
-                            "backend (got " +
-                            inner_->backend_name() + ")");
-  }
 }
 
 double drift_backend::factor_at(std::uint64_t stream) const noexcept {
@@ -42,7 +37,7 @@ reading_block drift_backend::read_repetitions(const tensor& x,
                                               std::span<const hpc_event> events,
                                               std::size_t repeats,
                                               std::uint64_t stream) {
-  reading_block block = reader_->read_repetitions(x, events, repeats, stream);
+  reading_block block = inner_->read_repetitions(x, events, repeats, stream);
   const double factor = factor_at(stream);
   if (factor == 1.0) return block;
   for (std::size_t r = 0; r < block.repetitions; ++r) {
@@ -54,14 +49,6 @@ reading_block drift_backend::read_repetitions(const tensor& x,
     }
   }
   return block;
-}
-
-measurement drift_backend::do_measure(const tensor& x,
-                                      std::span<const hpc_event> events,
-                                      std::size_t repeats) {
-  return aggregate_block_naive(read_repetitions(x, events, repeats,
-                                                next_stream_++),
-                               repeats);
 }
 
 }  // namespace advh::hpc

@@ -1,6 +1,6 @@
-// Deterministic baseline-drift injecting monitor decorator.
+// Deterministic baseline-drift injecting reader wrapper.
 //
-// The fault_backend models *transient* counter failures; this decorator
+// The fault_backend models *transient* counter failures; this wrapper
 // models the other long-horizon hazard: slow environmental drift of the
 // microarchitectural baseline itself. DVFS transitions, co-tenant cache
 // pressure, and kernel updates all shift the benign cache-miss
@@ -39,11 +39,10 @@ struct drift_profile {
   std::vector<hpc_event> events;
 };
 
-class drift_backend final : public hpc_monitor, public raw_reader {
+class drift_backend final : public raw_reader {
  public:
-  /// Takes ownership of `inner`, which must implement raw_reader
-  /// (unsupported_error otherwise). `profile.magnitude` must be positive.
-  drift_backend(monitor_ptr inner, drift_profile profile);
+  /// Takes ownership of `inner`. `profile.magnitude` must be positive.
+  drift_backend(std::unique_ptr<raw_reader> inner, drift_profile profile);
 
   std::string backend_name() const override {
     return "drift(" + inner_->backend_name() + ")";
@@ -61,17 +60,11 @@ class drift_backend final : public hpc_monitor, public raw_reader {
 
   const drift_profile& profile() const noexcept { return profile_; }
 
- protected:
-  measurement do_measure(const tensor& x, std::span<const hpc_event> events,
-                         std::size_t repeats) override;
-
  private:
   bool affects(hpc_event e) const noexcept;
 
-  monitor_ptr inner_;
-  raw_reader* reader_;  ///< inner_ viewed through its raw_reader facet
+  std::unique_ptr<raw_reader> inner_;
   drift_profile profile_;
-  std::uint64_t next_stream_ = 0;
 };
 
 }  // namespace advh::hpc

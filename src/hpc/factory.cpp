@@ -65,43 +65,41 @@ std::optional<drift_profile> drift_profile_from_env() {
 }
 
 monitor_ptr make_monitor(nn::model& m, const monitor_options& opts) {
-  monitor_ptr base;
+  std::unique_ptr<raw_reader> reader;
   switch (opts.kind) {
     case backend_kind::perf:
-      base = std::make_unique<perf_backend>(m);
+      reader = std::make_unique<perf_backend>(m);
       break;
     case backend_kind::simulator:
-      base = std::make_unique<sim_backend>(m, opts.sim_cfg, noise_model{},
-                                           opts.noise_seed);
+      reader = std::make_unique<sim_backend>(m, opts.sim_cfg, noise_model{},
+                                             opts.noise_seed);
       break;
     case backend_kind::auto_detect:
       if (perf_events_available()) {
         log::info("HPC monitor: native perf_event backend");
-        base = std::make_unique<perf_backend>(m);
+        reader = std::make_unique<perf_backend>(m);
       } else {
         log::info("HPC monitor: perf_event unavailable, using simulator");
-        base = std::make_unique<sim_backend>(m, opts.sim_cfg, noise_model{},
-                                             opts.noise_seed);
+        reader = std::make_unique<sim_backend>(m, opts.sim_cfg, noise_model{},
+                                               opts.noise_seed);
       }
       break;
   }
-  if (base == nullptr) throw invariant_error("unknown backend kind");
+  if (reader == nullptr) throw invariant_error("unknown backend kind");
 
   if (opts.drift.has_value()) {
     log::info("HPC monitor: injecting baseline drift (magnitude ",
               opts.drift->magnitude, ")");
-    base = std::make_unique<drift_backend>(std::move(base), *opts.drift);
+    reader = std::make_unique<drift_backend>(std::move(reader), *opts.drift);
   }
   if (opts.faults.has_value()) {
     log::info("HPC monitor: injecting faults (read failure rate ",
               opts.faults->read_failure_rate, ")");
-    base = std::make_unique<fault_backend>(std::move(base), *opts.faults);
+    reader = std::make_unique<fault_backend>(std::move(reader), *opts.faults);
   }
-  if (opts.resilience.has_value()) {
-    base = std::make_unique<resilient_monitor>(std::move(base),
-                                               *opts.resilience);
-  }
-  return base;
+  return std::make_unique<resilient_monitor>(
+      std::move(reader),
+      opts.resilience.value_or(resilience_config::naive()));
 }
 
 monitor_ptr make_monitor(nn::model& m, backend_kind kind,
@@ -112,7 +110,7 @@ monitor_ptr make_monitor(nn::model& m, backend_kind kind,
   opts.sim_cfg = sim_cfg;
   opts.noise_seed = noise_seed;
   // Chaos overrides: an injected (drifted or faulty) stack is only useful
-  // behind the resilient layer, so it always comes along here.
+  // with retries and robust aggregation, so they always come along here.
   opts.drift = drift_profile_from_env();
   opts.faults = fault_config_from_env();
   if (opts.drift.has_value() || opts.faults.has_value()) {

@@ -1,13 +1,13 @@
 // Monitor construction with graceful fallback: prefer the native perf
-// backend when the kernel permits it, otherwise the simulator — plus
-// optional decoration with the fault-injection and resilience layers.
+// reader when the kernel permits it, otherwise the simulator — optionally
+// wrapped in drift and fault injection — behind one resilient_monitor.
 //
 // Chaos wiring: when the ADVH_FAULT_RATE environment variable is set to a
 // positive rate, the convenience make_monitor overload wraps whatever
-// backend it builds in fault_backend (deterministic injected faults at
-// that rate) and resilient_monitor (retry + robust aggregation), so the
-// whole test/bench suite can be exercised under measurement faults
-// without touching call sites.
+// reader it builds in fault_backend (deterministic injected faults at
+// that rate) and turns on retries and robust aggregation, so the whole
+// test/bench suite can be exercised under measurement faults without
+// touching call sites.
 #pragma once
 
 #include <optional>
@@ -27,16 +27,16 @@ struct monitor_options {
   backend_kind kind = backend_kind::auto_detect;
   uarch::trace_gen_config sim_cfg{};
   std::uint64_t noise_seed = 99;
-  /// When set, the base backend is wrapped in a drift_backend shifting
+  /// When set, the base reader is wrapped in a drift_backend shifting
   /// the counter baseline (drift chaos testing). Applied closest to the
   /// hardware, under the fault layer: faults corrupt an already-drifted
   /// baseline, which is the order deployments experience.
   std::optional<drift_profile> drift;
-  /// When set, the (possibly drifted) backend is wrapped in a
+  /// When set, the (possibly drifted) reader is wrapped in a
   /// fault_backend injecting deterministic faults (chaos testing).
   std::optional<fault_config> faults;
-  /// When set, the (possibly drifted/faulty) stack is wrapped in a
-  /// resilient_monitor.
+  /// Retry and aggregation settings of the monitor; unset means
+  /// resilience_config::naive() (one read per sample, plain average).
   std::optional<resilience_config> resilience;
 };
 

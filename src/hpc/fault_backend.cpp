@@ -33,15 +33,10 @@ std::uint64_t draw_loss_onset(std::uint64_t seed, std::size_t event_index,
 
 }  // namespace
 
-fault_backend::fault_backend(monitor_ptr inner, fault_config cfg)
+fault_backend::fault_backend(std::unique_ptr<raw_reader> inner,
+                             fault_config cfg)
     : inner_(std::move(inner)), cfg_(cfg) {
   ADVH_CHECK(inner_ != nullptr);
-  reader_ = dynamic_cast<raw_reader*>(inner_.get());
-  if (reader_ == nullptr) {
-    throw unsupported_error("fault_backend requires a raw_reader inner "
-                            "backend (got " +
-                            inner_->backend_name() + ")");
-  }
   for (std::size_t i = 0; i < hpc_event_count; ++i) {
     loss_onset_[i] = draw_loss_onset(cfg_.seed, i, cfg_.permanent_loss_rate);
   }
@@ -55,7 +50,7 @@ reading_block fault_backend::read_repetitions(const tensor& x,
                                               std::span<const hpc_event> events,
                                               std::size_t repeats,
                                               std::uint64_t stream) {
-  reading_block block = reader_->read_repetitions(x, events, repeats, stream);
+  reading_block block = inner_->read_repetitions(x, events, repeats, stream);
 
   rng faults = rng::stream(cfg_.seed, stream);
 
@@ -101,14 +96,6 @@ reading_block fault_backend::read_repetitions(const tensor& x,
     }
   }
   return block;
-}
-
-measurement fault_backend::do_measure(const tensor& x,
-                                      std::span<const hpc_event> events,
-                                      std::size_t repeats) {
-  return aggregate_block_naive(read_repetitions(x, events, repeats,
-                                                next_stream_++),
-                               repeats);
 }
 
 }  // namespace advh::hpc

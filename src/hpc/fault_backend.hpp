@@ -1,6 +1,6 @@
-// Deterministic fault-injecting monitor decorator.
+// Deterministic fault-injecting reader wrapper.
 //
-// Wraps any raw_reader backend and corrupts its repetition readings with
+// Wraps any raw_reader and corrupts its repetition readings with
 // the failure modes real counters exhibit in deployment: transient read
 // failures, co-tenant value spikes, stuck-at (stale) reads, hung reads
 // that the caller's watchdog times out, and per-event permanent loss
@@ -10,10 +10,9 @@
 // thread count — which is what makes the resilience tests and the
 // robustness bench reproducible.
 //
-// Used directly as an hpc_monitor it aggregates naively (failed
-// repetitions dropped, spikes trusted), showing what unprotected
-// measurement feeds the detector; wrap it in a resilient_monitor for the
-// protected path.
+// Under a resilient_monitor with resilience_config::naive() it shows what
+// unprotected measurement feeds the detector (failed repetitions dropped,
+// spikes trusted); the default resilience config is the protected path.
 #pragma once
 
 #include <array>
@@ -47,11 +46,10 @@ struct fault_config {
   std::uint64_t seed = 13;
 };
 
-class fault_backend final : public hpc_monitor, public raw_reader {
+class fault_backend final : public raw_reader {
  public:
-  /// Takes ownership of `inner`, which must implement raw_reader
-  /// (unsupported_error otherwise).
-  fault_backend(monitor_ptr inner, fault_config cfg);
+  /// Takes ownership of `inner`.
+  fault_backend(std::unique_ptr<raw_reader> inner, fault_config cfg);
 
   std::string backend_name() const override {
     return "faulty(" + inner_->backend_name() + ")";
@@ -68,19 +66,10 @@ class fault_backend final : public hpc_monitor, public raw_reader {
 
   const fault_config& config() const noexcept { return cfg_; }
 
- protected:
-  /// Naive aggregation of a faulted block: failed repetitions are dropped,
-  /// spiked/stale values are trusted. Events with zero surviving
-  /// repetitions report mean 0 and quality.available = 0.
-  measurement do_measure(const tensor& x, std::span<const hpc_event> events,
-                         std::size_t repeats) override;
-
  private:
-  monitor_ptr inner_;
-  raw_reader* reader_;  ///< inner_ viewed through its raw_reader facet
+  std::unique_ptr<raw_reader> inner_;
   fault_config cfg_;
   std::array<std::uint64_t, hpc_event_count> loss_onset_{};
-  std::uint64_t next_stream_ = 0;
 };
 
 }  // namespace advh::hpc

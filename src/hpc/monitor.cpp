@@ -2,45 +2,7 @@
 
 #include <stdexcept>
 
-#include "common/stats.hpp"
-
 namespace advh::hpc {
-
-measurement aggregate_block_naive(const reading_block& block,
-                                  std::size_t repeats) {
-  measurement out;
-  out.predicted = block.predicted;
-  out.mean_counts.assign(block.num_events, 0.0);
-  out.stddev_counts.assign(block.num_events, 0.0);
-  out.q.available.assign(block.num_events, 1);
-  out.q.multiplexed = block.multiplexed;
-  out.q.repetitions = static_cast<std::uint32_t>(repeats);
-
-  for (std::size_t e = 0; e < block.num_events; ++e) {
-    stats::running_stats acc;
-    bool lost = false;
-    for (std::size_t r = 0; r < block.repetitions; ++r) {
-      switch (block.status_at(r, e)) {
-        case reading_block::read_status::ok:
-          acc.push(block.value_at(r, e));
-          break;
-        case reading_block::read_status::transient_failure:
-          ++out.q.failed_repetitions;
-          break;
-        case reading_block::read_status::event_lost:
-          lost = true;
-          break;
-      }
-    }
-    if (lost || acc.count() == 0) {
-      out.q.available[e] = 0;
-      continue;
-    }
-    out.mean_counts[e] = acc.mean();
-    out.stddev_counts[e] = acc.stddev();
-  }
-  return out;
-}
 
 measurement hpc_monitor::measure(const tensor& x,
                                  std::span<const hpc_event> events,
@@ -50,27 +12,6 @@ measurement hpc_monitor::measure(const tensor& x,
         "hpc_monitor::measure: repeats must be positive");
   }
   return do_measure(x, events, repeats);
-}
-
-measurement hpc_monitor::measure(const tensor& x,
-                                 std::span<const hpc_event> events,
-                                 std::size_t repeats,
-                                 const measure_budget& budget) {
-  if (repeats == 0) {
-    throw std::invalid_argument(
-        "hpc_monitor::measure: repeats must be positive");
-  }
-  return do_measure_budgeted(x, events, repeats, budget);
-}
-
-std::vector<measurement> hpc_monitor::measure_batch(
-    std::span<const tensor> inputs, std::span<const hpc_event> events,
-    std::size_t repeats, std::size_t threads) {
-  if (repeats == 0) {
-    throw std::invalid_argument(
-        "hpc_monitor::measure_batch: repeats must be positive");
-  }
-  return do_measure_batch(inputs, events, repeats, threads);
 }
 
 std::vector<measurement> hpc_monitor::measure_batch(
@@ -83,29 +24,21 @@ std::vector<measurement> hpc_monitor::measure_batch(
   return do_measure_batch_budgeted(inputs, events, repeats, threads, budget);
 }
 
-measurement hpc_monitor::do_measure_budgeted(const tensor& x,
-                                             std::span<const hpc_event> events,
-                                             std::size_t repeats,
-                                             const measure_budget& budget) {
-  (void)budget;  // no retry loop below this layer: nothing to cap
-  return do_measure(x, events, repeats);
+std::vector<measurement> hpc_monitor::do_measure_batch(
+    std::span<const tensor> inputs, std::span<const hpc_event> events,
+    std::size_t repeats, std::size_t threads) {
+  (void)threads;  // a serial loop: batch order is the measurement order
+  std::vector<measurement> out;
+  out.reserve(inputs.size());
+  for (const tensor& x : inputs) out.push_back(do_measure(x, events, repeats));
+  return out;
 }
 
 std::vector<measurement> hpc_monitor::do_measure_batch_budgeted(
     std::span<const tensor> inputs, std::span<const hpc_event> events,
     std::size_t repeats, std::size_t threads, const measure_budget& budget) {
-  (void)budget;
+  (void)budget;  // no retry loop here: nothing to cap
   return do_measure_batch(inputs, events, repeats, threads);
-}
-
-std::vector<measurement> hpc_monitor::do_measure_batch(
-    std::span<const tensor> inputs, std::span<const hpc_event> events,
-    std::size_t repeats, std::size_t threads) {
-  (void)threads;  // one physical PMU: batch order is the measurement order
-  std::vector<measurement> out;
-  out.reserve(inputs.size());
-  for (const tensor& x : inputs) out.push_back(do_measure(x, events, repeats));
-  return out;
 }
 
 }  // namespace advh::hpc

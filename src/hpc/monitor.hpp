@@ -5,18 +5,23 @@
 // statistics averaged over R measurement repetitions — exactly the
 // defender's view in the paper's threat model (Section 4).
 //
-// Real counters are not the paper's idealised ones: reads fail
-// transiently, the PMU multiplexes events, co-tenant noise spikes counts,
-// and events can disappear mid-session. Every measurement therefore
-// carries a `measurement::quality` report describing how trustworthy it
-// is, and backends that can address raw repetition readings by an explicit
-// stream index implement `raw_reader`, the capability the resilient
-// decorator stack (fault_backend / resilient_monitor) is built on.
+// Measurement is split in two. A backend is a `raw_reader`: it takes R
+// raw readings of N events around one inference, addressed by an explicit
+// stream index, and reports per-reading failures instead of hiding them.
+// The one concrete monitor, `resilient_monitor`, owns everything above
+// that: stream numbering, batching over threads, retries under a
+// `measure_budget` and aggregation. Fault and drift injection are
+// reader-to-reader wrappers. Real counters are not the paper's idealised
+// ones — reads fail transiently, the PMU multiplexes events, co-tenant
+// noise spikes counts, events disappear mid-session — so every
+// measurement carries a `measurement::quality` report describing how
+// trustworthy it is.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "hpc/events.hpp"
@@ -33,11 +38,11 @@ namespace advh::hpc {
 /// degradation-ladder rung; the resilient layer spends it: retry rounds
 /// are capped, backoff sleeps can be suppressed, and a cancelled token
 /// aborts further retries mid-measurement (graceful drain). A
-/// default-constructed budget changes nothing — backends without a retry
-/// loop ignore it entirely — and because the budget only *truncates* the
-/// retry schedule (stream indices are still keyed on sample/attempt
-/// alone), measurements under any fixed budget remain bitwise
-/// thread-count-invariant.
+/// default-constructed budget changes nothing — a monitor configured
+/// without retries ignores it entirely — and because the budget only
+/// *truncates* the retry schedule (stream indices are still keyed on
+/// sample/attempt alone), measurements under any fixed budget remain
+/// bitwise thread-count-invariant.
 struct measure_budget {
   static constexpr std::size_t unlimited = ~static_cast<std::size_t>(0);
 
@@ -55,8 +60,7 @@ struct measure_budget {
 
 struct measurement {
   /// Provenance/trust report for one measurement. An empty `available`
-  /// vector means "every requested event was measured normally" — the
-  /// fast path for backends that predate the resilience layer.
+  /// vector means "every requested event was measured normally".
   struct quality {
     /// Per requested event: 1 when the event was actually measured for
     /// this sample, 0 when it was unavailable (permanently lost counter,
@@ -99,8 +103,8 @@ struct measurement {
 };
 
 /// One block of raw per-repetition counter readings, before aggregation.
-/// Produced by `raw_reader` backends; consumed by the resilient layer,
-/// which retries failures and aggregates robustly.
+/// Produced by `raw_reader` backends; consumed by resilient_monitor,
+/// which retries failures and aggregates.
 struct reading_block {
   enum class read_status : std::uint8_t {
     ok = 0,                ///< value holds a real reading
@@ -130,25 +134,16 @@ struct reading_block {
   }
 };
 
-/// Naive aggregation of a raw reading block into a measurement: failed
-/// repetitions are dropped, surviving values are trusted verbatim, and an
-/// event with zero surviving repetitions (or a permanent loss) reports
-/// mean 0 with quality.available = 0. This is what an unprotected
-/// decorator (fault or drift injection without the resilient layer) feeds
-/// the detector; resilient_monitor replaces it with retry + robust
-/// aggregation.
-measurement aggregate_block_naive(const reading_block& block,
-                                  std::size_t repeats);
-
-/// Capability interface: backends whose raw repetition readings can be
-/// addressed by an explicit stream index. The index — not call order —
-/// fully determines any simulated randomness, which is what lets the
-/// resilient layer retry and parallelise without losing bitwise
-/// reproducibility. Implementations must be safe to call concurrently
-/// from multiple threads.
+/// The backend contract: raw repetition readings addressed by an explicit
+/// stream index. The index — not call order — fully determines any
+/// simulated randomness, which is what lets the monitor retry and
+/// parallelise without losing bitwise reproducibility. Implementations
+/// must be safe to call concurrently from multiple threads.
 class raw_reader {
  public:
   virtual ~raw_reader() = default;
+
+  virtual std::string backend_name() const = 0;
 
   /// Takes `repeats` raw readings of `events` around one inference of `x`.
   /// Simulated backends derive all stochastic behaviour from `stream`;
@@ -168,62 +163,40 @@ class hpc_monitor {
   /// Runs inference on one example (batch-of-one tensor), sampling the
   /// given events `repeats` times (the paper's R; 10 by default there).
   /// Throws std::invalid_argument when repeats == 0 — this validation is
-  /// the non-virtual boundary, so every backend inherits it.
+  /// the non-virtual boundary, so every monitor inherits it.
   measurement measure(const tensor& x, std::span<const hpc_event> events,
                       std::size_t repeats);
 
-  /// Deadline-budgeted variant: the budget caps what the resilient layer
-  /// may spend on retries/backoff (see measure_budget). Backends without
-  /// a retry loop behave exactly like the unbudgeted overload.
-  measurement measure(const tensor& x, std::span<const hpc_event> events,
-                      std::size_t repeats, const measure_budget& budget);
-
   /// Measures a batch of independent inputs; out[i] corresponds to
-  /// inputs[i]. The base implementation is a serial loop over `measure`
-  /// (hardware counters multiplex one physical PMU, so the perf backend
-  /// cannot parallelise). Backends whose measurements are simulated may
-  /// run workers concurrently; any override must return results that are
-  /// bitwise identical to the serial loop. `threads` follows
-  /// advh::resolve_threads semantics: 0 means the ADVH_THREADS override
-  /// or, failing that, hardware concurrency. Throws std::invalid_argument
-  /// when repeats == 0.
+  /// inputs[i] and is bitwise identical to serial `measure` calls in the
+  /// same order. `threads` follows advh::resolve_threads semantics: 0
+  /// means the ADVH_THREADS override or, failing that, hardware
+  /// concurrency. Every sample runs under the same `budget` (see
+  /// measure_budget). Throws std::invalid_argument when repeats == 0.
   std::vector<measurement> measure_batch(std::span<const tensor> inputs,
                                          std::span<const hpc_event> events,
                                          std::size_t repeats,
-                                         std::size_t threads = 0);
-
-  /// Deadline-budgeted batch variant; every sample in the batch runs
-  /// under the same budget.
-  std::vector<measurement> measure_batch(std::span<const tensor> inputs,
-                                         std::span<const hpc_event> events,
-                                         std::size_t repeats,
-                                         std::size_t threads,
-                                         const measure_budget& budget);
+                                         std::size_t threads = 0,
+                                         const measure_budget& budget = {});
 
   virtual std::string backend_name() const = 0;
 
  protected:
   hpc_monitor() = default;
 
-  /// Backend implementation of `measure`; repeats > 0 is guaranteed.
+  /// Implementation of `measure`; repeats > 0 is guaranteed.
   virtual measurement do_measure(const tensor& x,
                                  std::span<const hpc_event> events,
                                  std::size_t repeats) = 0;
 
-  /// Backend implementation of `measure_batch`; defaults to a serial loop
-  /// over do_measure.
+  /// Unbudgeted batch; defaults to a serial loop over do_measure.
   virtual std::vector<measurement> do_measure_batch(
       std::span<const tensor> inputs, std::span<const hpc_event> events,
       std::size_t repeats, std::size_t threads);
 
-  /// Budgeted backend hooks. The defaults ignore the budget and forward
-  /// to the unbudgeted implementations — only layers that actually spend
-  /// time on retries (resilient_monitor) override these.
-  virtual measurement do_measure_budgeted(const tensor& x,
-                                          std::span<const hpc_event> events,
-                                          std::size_t repeats,
-                                          const measure_budget& budget);
-
+  /// Implementation of `measure_batch`. The default ignores the budget
+  /// and forwards to do_measure_batch — only a monitor that spends time
+  /// on retries has anything to cap.
   virtual std::vector<measurement> do_measure_batch_budgeted(
       std::span<const tensor> inputs, std::span<const hpc_event> events,
       std::size_t repeats, std::size_t threads, const measure_budget& budget);

@@ -10,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/stats.hpp"
 
 namespace advh::hpc {
 
@@ -157,6 +156,7 @@ reading_block perf_backend::read_repetitions(const tensor& x,
                                              std::span<const hpc_event> events,
                                              std::size_t repeats,
                                              std::uint64_t /*stream*/) {
+  const std::lock_guard<std::mutex> lock(read_mutex_);
   reading_block block;
   block.repetitions = repeats;
   block.num_events = events.size();
@@ -220,46 +220,6 @@ reading_block perf_backend::read_repetitions(const tensor& x,
     }
   }
   return block;
-}
-
-measurement perf_backend::do_measure(const tensor& x,
-                                     std::span<const hpc_event> events,
-                                     std::size_t repeats) {
-  const reading_block block = read_repetitions(x, events, repeats, 0);
-
-  measurement out;
-  out.predicted = block.predicted;
-  out.mean_counts.assign(events.size(), 0.0);
-  out.stddev_counts.assign(events.size(), 0.0);
-  out.q.available.assign(events.size(), 1);
-  out.q.multiplexed = block.multiplexed;
-  out.q.repetitions = static_cast<std::uint32_t>(repeats);
-
-  for (std::size_t e = 0; e < events.size(); ++e) {
-    stats::running_stats acc;
-    bool lost = false;
-    for (std::size_t r = 0; r < repeats; ++r) {
-      switch (block.status_at(r, e)) {
-        case reading_block::read_status::ok:
-          acc.push(block.value_at(r, e));
-          break;
-        case reading_block::read_status::transient_failure:
-          ++out.q.failed_repetitions;
-          break;
-        case reading_block::read_status::event_lost:
-          lost = true;
-          break;
-      }
-    }
-    if (lost || acc.count() == 0) {
-      out.q.available[e] = 0;
-      continue;
-    }
-    out.mean_counts[e] = acc.mean();
-    // Population stddev: 0 by construction at repeats == 1, never NaN.
-    out.stddev_counts[e] = acc.stddev();
-  }
-  return out;
 }
 
 }  // namespace advh::hpc

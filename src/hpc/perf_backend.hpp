@@ -1,4 +1,4 @@
-// Native Linux perf_event_open backend.
+// Native Linux perf_event_open reader.
 //
 // Counts the nine supported events around real inference executions of the
 // wrapped model — what the paper runs on an Intel i7-9700. Container and
@@ -11,11 +11,11 @@
 // time_enabled/time_running so multiplexed events are scaled to their
 // full-time estimate (logged once per event); an event that cannot be
 // opened or read is reported unavailable in measurement::quality instead
-// of aborting the measurement, so the resilient layer can degrade
-// gracefully.
+// of aborting the measurement, so the monitor can degrade gracefully.
 #pragma once
 
 #include <array>
+#include <mutex>
 
 #include "hpc/monitor.hpp"
 #include "nn/model.hpp"
@@ -25,7 +25,7 @@ namespace advh::hpc {
 /// Returns true if a basic hardware counter can be opened on this system.
 bool perf_events_available() noexcept;
 
-class perf_backend final : public hpc_monitor, public raw_reader {
+class perf_backend final : public raw_reader {
  public:
   /// Throws backend_unavailable if perf_event_open is not permitted.
   explicit perf_backend(nn::model& m);
@@ -34,21 +34,22 @@ class perf_backend final : public hpc_monitor, public raw_reader {
   std::string backend_name() const override { return "perf_event"; }
 
   /// Raw per-repetition readings; `stream` is ignored (real hardware has
-  /// no replayable randomness). Serial use only — one physical PMU.
+  /// no replayable randomness). Concurrent calls are serialised — one
+  /// physical PMU — so a threaded batch still reads one inference at a
+  /// time.
   reading_block read_repetitions(const tensor& x,
                                  std::span<const hpc_event> events,
                                  std::size_t repeats,
                                  std::uint64_t stream) override;
-
- protected:
-  measurement do_measure(const tensor& x, std::span<const hpc_event> events,
-                         std::size_t repeats) override;
 
  private:
   /// Opens a counter fd for one event; returns -1 on failure.
   static int open_event(hpc_event e) noexcept;
 
   nn::model& model_;
+  /// Serialises read_repetitions: it guards the one PMU and the warned
+  /// flags below.
+  std::mutex read_mutex_;
   /// Events already warned about (multiplex scaling / open failure), so
   /// each condition logs once per event per backend instance.
   std::array<bool, hpc_event_count> scale_warned_{};

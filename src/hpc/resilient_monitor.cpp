@@ -23,10 +23,10 @@ struct robust_aggregate {
 };
 
 robust_aggregate aggregate(const std::vector<double>& values,
-                           double mad_multiplier, bool robust) {
+                           double mad_multiplier) {
   robust_aggregate out;
   std::vector<double> kept;
-  if (robust && mad_multiplier > 0.0 && values.size() >= 4) {
+  if (mad_multiplier > 0.0 && values.size() >= 4) {
     const double med = stats::median(values);
     std::vector<double> dev;
     dev.reserve(values.size());
@@ -51,18 +51,18 @@ robust_aggregate aggregate(const std::vector<double>& values,
 
 }  // namespace
 
-resilient_monitor::resilient_monitor(monitor_ptr inner, resilience_config cfg)
-    : inner_(std::move(inner)), cfg_(cfg) {
-  ADVH_CHECK(inner_ != nullptr);
+resilient_monitor::resilient_monitor(std::unique_ptr<raw_reader> reader,
+                                     resilience_config cfg)
+    : reader_(std::move(reader)), cfg_(cfg) {
+  ADVH_CHECK(reader_ != nullptr);
   ADVH_CHECK_MSG(cfg_.retry.max_attempts >= 1 &&
                      cfg_.retry.max_attempts <= attempt_stride,
                  "retry.max_attempts must be in [1, attempt_stride]");
-  reader_ = dynamic_cast<raw_reader*>(inner_.get());
-  if (reader_ == nullptr) {
-    throw unsupported_error("resilient_monitor requires a raw_reader inner "
-                            "backend (got " +
-                            inner_->backend_name() + ")");
-  }
+}
+
+std::string resilient_monitor::backend_name() const {
+  if (cfg_.retry.max_attempts == 1) return reader_->backend_name();
+  return "resilient(" + reader_->backend_name() + ")";
 }
 
 std::vector<hpc_event> resilient_monitor::lost_events() const {
@@ -85,7 +85,9 @@ measurement resilient_monitor::measure_sample(
     const tensor& x, std::span<const hpc_event> events, std::size_t repeats,
     std::uint64_t sample_index, const measure_budget& budget) const {
   const std::size_t n_events = events.size();
-  const std::uint64_t base_stream = sample_index * attempt_stride;
+  // Without retries sample k owns stream k alone.
+  const std::uint64_t base_stream =
+      sample_index * (cfg_.retry.max_attempts == 1 ? 1 : attempt_stride);
 
   measurement out;
   out.mean_counts.assign(n_events, 0.0);
@@ -165,8 +167,7 @@ measurement resilient_monitor::measure_sample(
       out.q.available[e] = 0;
       continue;
     }
-    const robust_aggregate agg =
-        aggregate(good[e], cfg_.mad_multiplier, cfg_.robust_aggregation);
+    const robust_aggregate agg = aggregate(good[e], cfg_.mad_multiplier);
     out.mean_counts[e] = agg.mean;
     out.stddev_counts[e] = agg.stddev;
     out.q.outliers_rejected += static_cast<std::uint32_t>(agg.rejected);
@@ -187,19 +188,6 @@ measurement resilient_monitor::do_measure(const tensor& x,
                                           std::span<const hpc_event> events,
                                           std::size_t repeats) {
   return measure_sample(x, events, repeats, next_sample_++, measure_budget{});
-}
-
-measurement resilient_monitor::do_measure_budgeted(
-    const tensor& x, std::span<const hpc_event> events, std::size_t repeats,
-    const measure_budget& budget) {
-  return measure_sample(x, events, repeats, next_sample_++, budget);
-}
-
-std::vector<measurement> resilient_monitor::do_measure_batch(
-    std::span<const tensor> inputs, std::span<const hpc_event> events,
-    std::size_t repeats, std::size_t threads) {
-  return do_measure_batch_budgeted(inputs, events, repeats, threads,
-                                   measure_budget{});
 }
 
 std::vector<measurement> resilient_monitor::do_measure_batch_budgeted(

@@ -1,7 +1,8 @@
-// Resilient measurement decorator.
+// The measurement monitor.
 //
-// Turns a best-effort raw_reader backend into a measurement contract the
-// detector can trust:
+// Turns a best-effort raw_reader into a measurement contract the detector
+// can trust. It is the one place that numbers sample streams, batches
+// over threads, retries and aggregates:
 //   * per-repetition retry — failed readings are re-read with capped
 //     exponential backoff (common/retry) until the R requested
 //     repetitions are filled or the attempt budget runs out;
@@ -12,12 +13,17 @@
 //   * graceful degradation — an event reported permanently lost is
 //     dropped from the active set and the measurement's quality mask
 //     records the surviving subset instead of the run failing.
+// Naive aggregation — the paper's plain average, and what an unprotected
+// deployment feeds the detector — is the setting resilience_config::naive():
+// one attempt and no trimming, so failed repetitions are dropped and
+// everything else is trusted.
 //
 // Determinism contract: every stochastic decision for sample k (noise,
 // faults, retries) is keyed on stream indices derived from k alone —
-// attempt a of sample k reads at stream k * attempt_stride + a — so
-// serial measures, 1-thread batches, and N-thread batches are bitwise
-// identical, fault storms included.
+// attempt a of sample k reads at stream k * attempt_stride + a when
+// retries are configured, and at stream k when they are not — so serial
+// measures, 1-thread batches, and N-thread batches are bitwise identical,
+// fault storms included.
 #pragma once
 
 #include <mutex>
@@ -37,24 +43,29 @@ struct resilience_config {
   /// An event whose surviving repetitions fall below this count is
   /// reported unavailable for the sample (quality.available = 0).
   std::size_t min_repetitions = 1;
-  /// Master switch for median/MAD trimming (retries are always on).
-  bool robust_aggregation = true;
+
+  /// One attempt per sample and no trimming: the plain average.
+  static resilience_config naive() {
+    resilience_config cfg;
+    cfg.retry.max_attempts = 1;
+    cfg.mad_multiplier = 0.0;
+    return cfg;
+  }
 };
 
 class resilient_monitor final : public hpc_monitor {
  public:
-  /// Retry attempts are encoded into the inner stream index; the policy's
-  /// max_attempts must not exceed this stride.
+  /// With retries configured, attempts are encoded into the reader's
+  /// stream index; the policy's max_attempts must not exceed this stride.
   static constexpr std::uint64_t attempt_stride = 8;
 
-  /// Takes ownership of `inner`, which must implement raw_reader
-  /// (unsupported_error otherwise).
-  explicit resilient_monitor(monitor_ptr inner,
+  /// Takes ownership of `reader`.
+  explicit resilient_monitor(std::unique_ptr<raw_reader> reader,
                              resilience_config cfg = resilience_config{});
 
-  std::string backend_name() const override {
-    return "resilient(" + inner_->backend_name() + ")";
-  }
+  /// The reader's name, wrapped in "resilient(...)" when retries are
+  /// configured.
+  std::string backend_name() const override;
 
   /// Events observed permanently lost so far (sorted). A lost event stays
   /// in measurement vectors — with quality.available = 0 — so event
@@ -70,21 +81,11 @@ class resilient_monitor final : public hpc_monitor {
   measurement do_measure(const tensor& x, std::span<const hpc_event> events,
                          std::size_t repeats) override;
 
-  /// Parallel over samples; bitwise identical at any thread count.
-  std::vector<measurement> do_measure_batch(std::span<const tensor> inputs,
-                                            std::span<const hpc_event> events,
-                                            std::size_t repeats,
-                                            std::size_t threads) override;
-
-  /// Budgeted variants: the budget caps retry rounds, suppresses backoff
-  /// sleeps, and honours cancellation (see measure_budget). A budget only
-  /// truncates the retry schedule — stream indices stay keyed on
-  /// (sample, attempt) — so any fixed budget is bitwise thread-invariant.
-  measurement do_measure_budgeted(const tensor& x,
-                                  std::span<const hpc_event> events,
-                                  std::size_t repeats,
-                                  const measure_budget& budget) override;
-
+  /// Parallel over samples; bitwise identical at any thread count. The
+  /// budget caps retry rounds, suppresses backoff sleeps, and honours
+  /// cancellation (see measure_budget); it only truncates the retry
+  /// schedule — stream indices stay keyed on (sample, attempt) — so any
+  /// fixed budget is bitwise thread-invariant.
   std::vector<measurement> do_measure_batch_budgeted(
       std::span<const tensor> inputs, std::span<const hpc_event> events,
       std::size_t repeats, std::size_t threads,
@@ -95,8 +96,7 @@ class resilient_monitor final : public hpc_monitor {
                              std::size_t repeats, std::uint64_t sample_index,
                              const measure_budget& budget) const;
 
-  monitor_ptr inner_;
-  raw_reader* reader_;  ///< inner_ viewed through its raw_reader facet
+  std::unique_ptr<raw_reader> reader_;
   resilience_config cfg_;
   std::uint64_t next_sample_ = 0;
   /// Permanently-lost events seen so far — reporting only; measurement

@@ -1,48 +1,21 @@
 #include "hpc/sim_backend.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "common/parallel.hpp"
-#include "common/stats.hpp"
 
 namespace advh::hpc {
 
 sim_backend::sim_backend(nn::model& m, const uarch::trace_gen_config& cfg,
                          noise_model noise, std::uint64_t seed)
-    : model_(m), gen_(cfg), noise_(std::move(noise)), seed_(seed) {}
+    : model_(m), cfg_(cfg), noise_(std::move(noise)), seed_(seed) {}
 
 uarch::uarch_counts sim_backend::profile(const tensor& x,
-                                         std::size_t& predicted) {
+                                         std::size_t& predicted) const {
   nn::inference_trace trace = model_.trace_inference(x, predicted);
-  return gen_.run(trace);
-}
-
-measurement sim_backend::measure_one(const tensor& x,
-                                     std::span<const hpc_event> events,
-                                     std::size_t repeats,
-                                     uarch::trace_generator& gen,
-                                     std::uint64_t stream) const {
-  measurement out;
-  std::size_t predicted = 0;
-  nn::inference_trace trace = model_.trace_inference(x, predicted);
-  const uarch::uarch_counts true_counts = gen.run(trace);
-  out.predicted = predicted;
-
-  rng noise_rng = rng::stream(seed_, stream);
-  out.mean_counts.resize(events.size());
-  out.stddev_counts.resize(events.size());
-  for (std::size_t e = 0; e < events.size(); ++e) {
-    const auto truth = static_cast<double>(extract(true_counts, events[e]));
-    stats::running_stats acc;
-    for (std::size_t r = 0; r < repeats; ++r) {
-      acc.push(noise_.sample(events[e], truth, noise_rng));
-    }
-    out.mean_counts[e] = acc.mean();
-    // Population stddev: 0 by construction at repeats == 1, never NaN.
-    out.stddev_counts[e] = acc.stddev();
-  }
-  return out;
+  // Private replay context per call: trace_generator::run resets its cache
+  // and predictor state on entry, so every call (and every concurrent
+  // caller) replays from the same cold pipeline.
+  uarch::trace_generator gen(cfg_);
+  return gen.run(trace);
 }
 
 reading_block sim_backend::read_repetitions(const tensor& x,
@@ -56,17 +29,9 @@ reading_block sim_backend::read_repetitions(const tensor& x,
   block.values.assign(repeats * events.size(), 0.0);
   block.status.assign(repeats * events.size(), reading_block::read_status::ok);
 
-  std::size_t predicted = 0;
-  nn::inference_trace trace = model_.trace_inference(x, predicted);
-  // Private replay context per call: trace_generator::run resets its cache
-  // and predictor state on entry, so concurrent callers reproduce the same
-  // cold-pipeline profile the serial path computes.
-  uarch::trace_generator gen(gen_.config());
-  const uarch::uarch_counts true_counts = gen.run(trace);
-  block.predicted = predicted;
+  const uarch::uarch_counts true_counts = profile(x, block.predicted);
 
-  // Same draw order as measure_one (event-outer, repetition-inner), keyed
-  // purely by (seed, stream).
+  // Event-outer, repetition-inner draws, keyed purely by (seed, stream).
   rng noise_rng = rng::stream(seed_, stream);
   for (std::size_t e = 0; e < events.size(); ++e) {
     const auto truth = static_cast<double>(extract(true_counts, events[e]));
@@ -76,46 +41,6 @@ reading_block sim_backend::read_repetitions(const tensor& x,
     }
   }
   return block;
-}
-
-measurement sim_backend::do_measure(const tensor& x,
-                                    std::span<const hpc_event> events,
-                                    std::size_t repeats) {
-  return measure_one(x, events, repeats, gen_, next_stream_++);
-}
-
-std::vector<measurement> sim_backend::do_measure_batch(
-    std::span<const tensor> inputs, std::span<const hpc_event> events,
-    std::size_t repeats, std::size_t threads) {
-  std::vector<measurement> out(inputs.size());
-  const std::uint64_t base = next_stream_;
-  next_stream_ += inputs.size();
-
-  const std::size_t workers = std::min(parallel::resolve_threads(threads),
-                                       std::max<std::size_t>(inputs.size(), 1));
-  if (workers <= 1 || inputs.size() < 2) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      out[i] = measure_one(inputs[i], events, repeats, gen_, base + i);
-    }
-    return out;
-  }
-
-  parallel::thread_pool pool(workers);
-  // Per-worker replay contexts: trace_generator::run resets its cache and
-  // predictor state on entry, so a private instance per worker reproduces
-  // the cold-pipeline profile the serial path computes.
-  std::vector<uarch::trace_generator> gens;
-  gens.reserve(pool.size());
-  for (std::size_t w = 0; w < pool.size(); ++w) gens.emplace_back(gen_.config());
-
-  pool.run_chunks(inputs.size(),
-                  [&](std::size_t begin, std::size_t end, std::size_t w) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      out[i] = measure_one(inputs[i], events, repeats, gens[w],
-                                           base + i);
-                    }
-                  });
-  return out;
 }
 
 }  // namespace advh::hpc

@@ -1,4 +1,4 @@
-// Simulator-backed HPC monitor.
+// Simulator-backed HPC reader.
 //
 // Substitutes for perf on machines (or containers) where perf_event_open
 // is unavailable: the inference runs for real, its data-flow trace is
@@ -6,14 +6,9 @@
 // counts are observed R times through the measurement-noise model — the
 // same protocol the paper uses on real counters.
 //
-// Determinism contract: the noise applied to sample k (counting every
-// input ever measured through this monitor, in submission order) depends
-// only on (seed, k) — never on which worker measured it or how many
-// threads were in flight. Serial `measure` loops, `measure_batch` at one
-// thread, and `measure_batch` at N threads therefore produce bitwise
-// identical measurements. The raw_reader interface extends the same
-// contract to explicit stream indices, which is what the resilient
-// decorator stack keys its retries on.
+// Determinism contract: the noise of a read depends only on (seed,
+// stream) — never on which thread read it or how many were in flight —
+// so the monitor's stream numbering alone fixes every measurement.
 #pragma once
 
 #include "hpc/monitor.hpp"
@@ -23,9 +18,9 @@
 
 namespace advh::hpc {
 
-class sim_backend final : public hpc_monitor, public raw_reader {
+class sim_backend final : public raw_reader {
  public:
-  /// The monitor borrows the model; callers keep it alive.
+  /// The reader borrows the model; callers keep it alive.
   explicit sim_backend(nn::model& m, const uarch::trace_gen_config& cfg = {},
                        noise_model noise = noise_model{},
                        std::uint64_t seed = 99);
@@ -33,39 +28,22 @@ class sim_backend final : public hpc_monitor, public raw_reader {
   std::string backend_name() const override { return "simulator"; }
 
   /// Deterministic (noise-free) event profile of one input.
-  uarch::uarch_counts profile(const tensor& x, std::size_t& predicted);
+  uarch::uarch_counts profile(const tensor& x, std::size_t& predicted) const;
 
-  /// Raw repetition readings at an explicit noise-stream index. Does not
-  /// advance the monitor's own stream counter, and is safe to call from
-  /// multiple threads concurrently (each call replays through a private
-  /// trace generator; the shared model's traced forward is read-only).
+  /// Raw repetition readings at an explicit noise-stream index. Safe to
+  /// call from multiple threads concurrently (each call replays through a
+  /// private trace generator; the shared model's traced forward is
+  /// read-only).
   reading_block read_repetitions(const tensor& x,
                                  std::span<const hpc_event> events,
                                  std::size_t repeats,
                                  std::uint64_t stream) override;
 
- protected:
-  measurement do_measure(const tensor& x, std::span<const hpc_event> events,
-                         std::size_t repeats) override;
-
-  /// Parallel batch measurement: workers each replay traces through their
-  /// own trace_generator, and every input draws noise from its own
-  /// (seed, sample-index) stream.
-  std::vector<measurement> do_measure_batch(std::span<const tensor> inputs,
-                                            std::span<const hpc_event> events,
-                                            std::size_t repeats,
-                                            std::size_t threads) override;
-
  private:
-  measurement measure_one(const tensor& x, std::span<const hpc_event> events,
-                          std::size_t repeats, uarch::trace_generator& gen,
-                          std::uint64_t stream) const;
-
   nn::model& model_;
-  uarch::trace_generator gen_;
+  uarch::trace_gen_config cfg_;
   noise_model noise_;
   std::uint64_t seed_;
-  std::uint64_t next_stream_ = 0;  ///< samples measured so far
 };
 
 }  // namespace advh::hpc

@@ -23,6 +23,7 @@
 #include "core/detector.hpp"
 #include "core/detector_io.hpp"
 #include "hpc/events.hpp"
+#include "hpc/resilient_monitor.hpp"
 #include "hpc/sim_backend.hpp"
 #include "nn/models/models.hpp"
 #include "nn/serialize.hpp"
@@ -242,7 +243,8 @@ TEST(check_loader, warning_findings_never_block_a_load) {
 
 TEST(check_loader, fitted_detector_round_trips_clean) {
   auto m = make_test_model();
-  hpc::sim_backend monitor(*m);
+  hpc::resilient_monitor monitor(std::make_unique<hpc::sim_backend>(*m),
+                                 hpc::resilience_config::naive());
   const core::detector det = fit_test_detector(monitor, test_detector_config());
 
   const std::string path = temp_path("check_roundtrip.adet");
@@ -293,7 +295,8 @@ TEST(check_clean, shipped_model_zoo_has_zero_findings) {
 
 TEST(check_envelope, honest_fit_is_inside_the_envelope) {
   auto m = make_test_model();
-  hpc::sim_backend monitor(*m);
+  hpc::resilient_monitor monitor(std::make_unique<hpc::sim_backend>(*m),
+                                 hpc::resilience_config::naive());
   const core::detector det = fit_test_detector(monitor, test_detector_config());
 
   analysis::check_report rep;
@@ -308,7 +311,8 @@ TEST(check_envelope, mismatched_cost_model_is_flagged) {
   // per-output-element instruction cost 10x shifts the instruction
   // envelope an order of magnitude above the honestly-fitted mass.
   auto m = make_test_model();
-  hpc::sim_backend monitor(*m);
+  hpc::resilient_monitor monitor(std::make_unique<hpc::sim_backend>(*m),
+                                 hpc::resilience_config::naive());
   const core::detector det = fit_test_detector(monitor, test_detector_config());
 
   analysis::envelope_options opts;
@@ -510,7 +514,8 @@ TEST(check_policy, shed_below_abstain_floor_is_fail_open_error) {
 
 TEST(check_policy, service_construction_rejects_contradictory_config) {
   auto m = make_test_model();
-  hpc::sim_backend monitor(*m);
+  hpc::resilient_monitor monitor(std::make_unique<hpc::sim_backend>(*m),
+                                 hpc::resilience_config::naive());
   const core::detector det = fit_test_detector(monitor, test_detector_config());
   serve::virtual_clock clock;
 

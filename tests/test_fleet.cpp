@@ -39,6 +39,7 @@
 #include "fleet/membership.hpp"
 #include "fleet/net.hpp"
 #include "fleet/sim.hpp"
+#include "hpc/resilient_monitor.hpp"
 #include "hpc/sim_backend.hpp"
 #include "nn/models/models.hpp"
 #include "serve/clock.hpp"
@@ -184,7 +185,9 @@ struct fleet_rig {
   static core::detector fit_genesis(
       nn::model& model, std::vector<std::pair<std::size_t, tensor>>& canaries) {
     const auto dcfg = test_detector_config();
-    hpc::sim_backend fit_monitor(model);
+    hpc::resilient_monitor fit_monitor(
+        std::make_unique<hpc::sim_backend>(model),
+        hpc::resilience_config::naive());
     core::benign_template tpl(4, dcfg.events.size());
     for (std::size_t i = 0; i < 32; ++i) {
       const tensor x = test_input(0.4 + 0.05 * static_cast<double>(i % 12));
@@ -209,7 +212,9 @@ struct fleet_rig {
     nn::model* m = model.get();
     d.make_monitor = [m, drift_magnitude, drift_onset_calls](
                          std::size_t) -> std::unique_ptr<hpc::hpc_monitor> {
-      auto inner = std::make_unique<hpc::sim_backend>(*m);
+      auto inner = std::make_unique<hpc::resilient_monitor>(
+          std::make_unique<hpc::sim_backend>(*m),
+          hpc::resilience_config::naive());
       if (drift_magnitude <= 0.0) return inner;
       return std::make_unique<step_drift_monitor>(
           std::move(inner), drift_onset_calls, drift_magnitude);
@@ -1034,7 +1039,8 @@ TEST(Checkpoint, AtomicWriteCreatesAncestorsAndSurfacesErrors) {
 TEST(Integrity, ShardDigestIsThreadInvariant) {
   const auto dcfg = test_detector_config();
   auto model = make_test_model();
-  hpc::sim_backend monitor(*model);
+  hpc::resilient_monitor monitor(std::make_unique<hpc::sim_backend>(*model),
+                                 hpc::resilience_config::naive());
   core::benign_template tpl(4, dcfg.events.size());
   for (std::size_t i = 0; i < 32; ++i) {
     const tensor x = test_input(0.4 + 0.05 * static_cast<double>(i % 12));

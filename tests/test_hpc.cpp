@@ -7,6 +7,7 @@
 #include "hpc/factory.hpp"
 #include "hpc/noise.hpp"
 #include "hpc/perf_backend.hpp"
+#include "hpc/resilient_monitor.hpp"
 #include "hpc/sim_backend.hpp"
 #include "nn/models/models.hpp"
 
@@ -92,7 +93,8 @@ class SimBackendTest : public ::testing::Test {
 nn::model* SimBackendTest::model_ = nullptr;
 
 TEST_F(SimBackendTest, MeasurementShapeMatchesRequest) {
-  sim_backend mon(*model_);
+  resilient_monitor mon(std::make_unique<sim_backend>(*model_),
+                        resilience_config::naive());
   rng gen(4);
   tensor x = tensor::rand_uniform(shape{1, 1, 16, 16}, gen, 0.0f, 1.0f);
   const auto events = core_events();
@@ -103,11 +105,15 @@ TEST_F(SimBackendTest, MeasurementShapeMatchesRequest) {
 }
 
 TEST_F(SimBackendTest, NoiseFreeMeasurementIsExact) {
-  sim_backend mon(*model_, {}, noise_model::none());
+  const sim_backend sim(*model_, {}, noise_model::none());
+  resilient_monitor mon(
+      std::make_unique<sim_backend>(*model_, uarch::trace_gen_config{},
+                                    noise_model::none()),
+      resilience_config::naive());
   rng gen(5);
   tensor x = tensor::rand_uniform(shape{1, 1, 16, 16}, gen, 0.0f, 1.0f);
   std::size_t pred = 0;
-  const auto counts = mon.profile(x, pred);
+  const auto counts = sim.profile(x, pred);
   auto m = mon.measure(x, core_events(), 10);
   EXPECT_DOUBLE_EQ(m.mean_counts[4],
                    static_cast<double>(counts.cache_misses));
@@ -115,7 +121,10 @@ TEST_F(SimBackendTest, NoiseFreeMeasurementIsExact) {
 }
 
 TEST_F(SimBackendTest, SameInputSameTrueCounts) {
-  sim_backend mon(*model_, {}, noise_model::none());
+  resilient_monitor mon(
+      std::make_unique<sim_backend>(*model_, uarch::trace_gen_config{},
+                                    noise_model::none()),
+      resilience_config::naive());
   rng gen(6);
   tensor x = tensor::rand_uniform(shape{1, 1, 16, 16}, gen, 0.0f, 1.0f);
   auto a = mon.measure(x, core_events(), 3);
@@ -126,12 +135,18 @@ TEST_F(SimBackendTest, SameInputSameTrueCounts) {
 }
 
 TEST_F(SimBackendTest, RepeatsReduceNoiseInMean) {
-  sim_backend mon1(*model_, {}, noise_model{}, /*seed=*/1);
-  sim_backend mon2(*model_, {}, noise_model{}, /*seed=*/1);
+  resilient_monitor mon1(
+      std::make_unique<sim_backend>(*model_, uarch::trace_gen_config{},
+                                    noise_model{}, /*seed=*/1),
+      resilience_config::naive());
+  resilient_monitor mon2(
+      std::make_unique<sim_backend>(*model_, uarch::trace_gen_config{},
+                                    noise_model{}, /*seed=*/1),
+      resilience_config::naive());
   rng gen(7);
   tensor x = tensor::rand_uniform(shape{1, 1, 16, 16}, gen, 0.0f, 1.0f);
   // Spread of the mean across re-measurements must shrink with R.
-  auto spread = [&](sim_backend& mon, std::size_t repeats) {
+  auto spread = [&](hpc_monitor& mon, std::size_t repeats) {
     stats::running_stats rs;
     for (int i = 0; i < 30; ++i) {
       auto m = mon.measure(x, std::vector<hpc_event>{hpc_event::cache_misses},
@@ -157,7 +172,8 @@ TEST_F(SimBackendTest, DifferentInputsDifferentFootprints) {
 }
 
 TEST_F(SimBackendTest, RepeatsMustBePositive) {
-  sim_backend mon(*model_);
+  resilient_monitor mon(std::make_unique<sim_backend>(*model_),
+                        resilience_config::naive());
   tensor x(shape{1, 1, 16, 16});
   // Rejected at the hpc_monitor::measure boundary, before any backend code
   // runs: a zero-repetition request is a caller bug, not a measurement
@@ -168,7 +184,8 @@ TEST_F(SimBackendTest, RepeatsMustBePositive) {
 }
 
 TEST_F(SimBackendTest, SingleRepetitionHasZeroStddev) {
-  sim_backend mon(*model_);
+  resilient_monitor mon(std::make_unique<sim_backend>(*model_),
+                        resilience_config::naive());
   tensor x(shape{1, 1, 16, 16});
   const auto m = mon.measure(x, core_events(), 1);
   ASSERT_EQ(m.stddev_counts.size(), core_events().size());
@@ -179,12 +196,19 @@ TEST(PerfBackend, UnavailableThrowsCleanly) {
   auto model = nn::make_model(nn::architecture::case_study_cnn,
                               shape{1, 16, 16}, 4, 1);
   if (perf_events_available()) {
-    // Real counters present (rare in CI): measuring must work end to end.
-    perf_backend mon(*model);
+    // Real counters present (rare in CI): measuring must work end to end,
+    // and a threaded batch must serialise its reads on the one PMU.
+    resilient_monitor mon(std::make_unique<perf_backend>(*model),
+                          resilience_config::naive());
     rng gen(9);
     tensor x = tensor::rand_uniform(shape{1, 1, 16, 16}, gen, 0.0f, 1.0f);
     auto m = mon.measure(x, std::vector<hpc_event>{hpc_event::instructions}, 3);
     EXPECT_GT(m.mean_counts[0], 0.0);
+    const std::vector<tensor> batch(8, x);
+    for (const auto& bm : mon.measure_batch(
+             batch, std::vector<hpc_event>{hpc_event::instructions}, 3, 4)) {
+      EXPECT_GT(bm.mean_counts[0], 0.0);
+    }
   } else {
     EXPECT_THROW(perf_backend{*model}, backend_unavailable);
   }
@@ -197,7 +221,7 @@ TEST(Factory, AutoDetectAlwaysProducesMonitor) {
   ASSERT_NE(mon, nullptr);
   if (!perf_events_available()) {
     // Substring match: under ADVH_FAULT_RATE the factory wraps the base
-    // backend in the fault-injection and resilience decorators.
+    // reader in fault injection and turns on retries.
     EXPECT_NE(mon->backend_name().find("simulator"), std::string::npos);
   }
 }

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
 #include "data/synthetic.hpp"
+#include "hpc/resilient_monitor.hpp"
 #include "hpc/sim_backend.hpp"
 #include "nn/models/models.hpp"
 #include "nn/trainer.hpp"
@@ -40,7 +41,9 @@ class IntegrationTest : public ::testing::Test {
     nn::train_classifier(*model_, train_->images, train_->labels, cfg);
     ASSERT_GT(model_->accuracy(test_->images, test_->labels), 0.85);
 
-    monitor_ = new hpc::sim_backend(*model_);
+    monitor_ = new hpc::resilient_monitor(
+        std::make_unique<hpc::sim_backend>(*model_),
+        hpc::resilience_config::naive());
 
     core::detector_config dcfg;
     dcfg.events = hpc::core_events();
@@ -73,14 +76,14 @@ class IntegrationTest : public ::testing::Test {
   static nn::model* model_;
   static data::dataset* train_;
   static data::dataset* test_;
-  static hpc::sim_backend* monitor_;
+  static hpc::resilient_monitor* monitor_;
   static core::detector* detector_;
 };
 
 nn::model* IntegrationTest::model_ = nullptr;
 data::dataset* IntegrationTest::train_ = nullptr;
 data::dataset* IntegrationTest::test_ = nullptr;
-hpc::sim_backend* IntegrationTest::monitor_ = nullptr;
+hpc::resilient_monitor* IntegrationTest::monitor_ = nullptr;
 core::detector* IntegrationTest::detector_ = nullptr;
 
 TEST_F(IntegrationTest, CleanInputsRarelyFlaggedOnCacheMisses) {

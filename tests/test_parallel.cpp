@@ -18,6 +18,7 @@
 #include "common/stats.hpp"
 #include "core/pipeline.hpp"
 #include "data/dataset.hpp"
+#include "hpc/resilient_monitor.hpp"
 #include "hpc/sim_backend.hpp"
 #include "nn/models/models.hpp"
 #include "nn/trainer.hpp"
@@ -244,11 +245,17 @@ TEST_F(ParallelMeasureTest, BatchMatchesSerialMeasureBitwise) {
   const auto inputs = make_inputs(6, 12);
   const auto events = hpc::core_events();
 
-  hpc::sim_backend serial(*model_, {}, hpc::noise_model{}, /*seed=*/99);
+  hpc::resilient_monitor serial(
+      std::make_unique<hpc::sim_backend>(*model_, uarch::trace_gen_config{},
+                                         hpc::noise_model{}, /*seed=*/99),
+      hpc::resilience_config::naive());
   std::vector<hpc::measurement> expected;
   for (const auto& x : inputs) expected.push_back(serial.measure(x, events, 5));
 
-  hpc::sim_backend batch(*model_, {}, hpc::noise_model{}, /*seed=*/99);
+  hpc::resilient_monitor batch(
+      std::make_unique<hpc::sim_backend>(*model_, uarch::trace_gen_config{},
+                                         hpc::noise_model{}, /*seed=*/99),
+      hpc::resilience_config::naive());
   const auto got = batch.measure_batch(inputs, events, 5, /*threads=*/4);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) expect_same(got[i], expected[i]);
@@ -260,7 +267,10 @@ TEST_F(ParallelMeasureTest, BatchIsThreadCountInvariant) {
 
   std::vector<std::vector<hpc::measurement>> runs;
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
-    hpc::sim_backend mon(*model_, {}, hpc::noise_model{}, /*seed=*/55);
+    hpc::resilient_monitor mon(
+        std::make_unique<hpc::sim_backend>(*model_, uarch::trace_gen_config{},
+                                           hpc::noise_model{}, /*seed=*/55),
+        hpc::resilience_config::naive());
     runs.push_back(mon.measure_batch(inputs, events, 4, threads));
   }
   for (std::size_t r = 1; r < runs.size(); ++r) {
@@ -277,7 +287,10 @@ TEST_F(ParallelMeasureTest, BatchAndSerialConsumeTheSameStreamSequence) {
   const auto inputs = make_inputs(4, 14);
   const auto events = hpc::core_events();
 
-  hpc::sim_backend mixed(*model_, {}, hpc::noise_model{}, /*seed=*/21);
+  hpc::resilient_monitor mixed(
+      std::make_unique<hpc::sim_backend>(*model_, uarch::trace_gen_config{},
+                                         hpc::noise_model{}, /*seed=*/21),
+      hpc::resilience_config::naive());
   std::vector<hpc::measurement> a;
   {
     std::span<const tensor> head(inputs.data(), 3);
@@ -286,7 +299,10 @@ TEST_F(ParallelMeasureTest, BatchAndSerialConsumeTheSameStreamSequence) {
     a.push_back(mixed.measure(inputs[3], events, 4));
   }
 
-  hpc::sim_backend serial(*model_, {}, hpc::noise_model{}, /*seed=*/21);
+  hpc::resilient_monitor serial(
+      std::make_unique<hpc::sim_backend>(*model_, uarch::trace_gen_config{},
+                                         hpc::noise_model{}, /*seed=*/21),
+      hpc::resilience_config::naive());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     expect_same(a[i], serial.measure(inputs[i], events, 4));
   }
@@ -318,7 +334,10 @@ TEST_F(ParallelMeasureTest, PipelineBitwiseIdenticalAcrossThreadCounts) {
   std::vector<core::verdict> base_verdicts;
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     // Fresh monitor per run: identical stream state for both thread counts.
-    hpc::sim_backend mon(*model_, {}, hpc::noise_model{}, /*seed=*/5);
+    hpc::resilient_monitor mon(
+        std::make_unique<hpc::sim_backend>(*model_, uarch::trace_gen_config{},
+                                           hpc::noise_model{}, /*seed=*/5),
+        hpc::resilience_config::naive());
     auto tpl = core::collect_template(mon, dcfg, train, /*per_class=*/6,
                                       /*seed=*/7, threads);
     auto det = core::detector::fit(tpl, dcfg, threads);

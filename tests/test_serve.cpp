@@ -77,7 +77,9 @@ struct serve_rig {
   explicit serve_rig(serve_config cfg = serve_config{},
                      core::detector_config dcfg = test_detector_config())
       : model(make_test_model()),
-        monitor(std::make_unique<hpc::sim_backend>(*model)),
+        monitor(std::make_unique<hpc::resilient_monitor>(
+            std::make_unique<hpc::sim_backend>(*model),
+            hpc::resilience_config::naive())),
         det(fit_test_detector(*monitor, dcfg)) {
     service = std::make_unique<detection_service>(det, *monitor, clock, cfg);
   }
@@ -460,7 +462,8 @@ TEST(MeasureBudget, ZeroRoundsSkipsRetries) {
 
   hpc::measure_budget first_read_only;
   first_read_only.max_retry_rounds = 0;
-  const auto tight = monitor.measure(x, events, 10, first_read_only);
+  const auto tight = monitor.measure_batch(std::span<const tensor>(&x, 1),
+                                           events, 10, 1, first_read_only)[0];
   EXPECT_EQ(tight.q.retries, 0u);
   EXPECT_GT(tight.q.failed_repetitions, 0u);  // faults stayed unrepaired
 
@@ -519,7 +522,9 @@ TEST(MeasureBudget, CancelledTokenStopsRetries) {
   token.cancel();
   hpc::measure_budget budget;
   budget.cancel = &token;
-  const auto m = monitor.measure(test_input(), hpc::core_events(), 10, budget);
+  const tensor x = test_input();
+  const auto m = monitor.measure_batch(std::span<const tensor>(&x, 1),
+                                       hpc::core_events(), 10, 1, budget)[0];
   EXPECT_EQ(m.q.retries, 0u);  // drain mode: first-read evidence only
 }
 
@@ -742,7 +747,8 @@ TEST(DetectionService, DrainStopsAdmissionButFlushesAdmittedWork) {
 
 TEST(DetectionService, DeadBackendTripsBreakerAndRecovers) {
   auto model = make_test_model();
-  hpc::sim_backend sim(*model);
+  hpc::resilient_monitor sim(std::make_unique<hpc::sim_backend>(*model),
+                             hpc::resilience_config::naive());
   const auto dcfg = test_detector_config();
   core::detector det = fit_test_detector(sim, dcfg);
   switchable_monitor monitor(sim);
@@ -1022,7 +1028,8 @@ TEST(TrackedService, BanDecisionsAreThreadInvariant) {
 
 TEST(DetectionService, ConcurrentSubmitAndServiceStaysConsistent) {
   auto model = make_test_model();
-  hpc::sim_backend monitor(*model);
+  hpc::resilient_monitor monitor(std::make_unique<hpc::sim_backend>(*model),
+                                 hpc::resilience_config::naive());
   const auto dcfg = test_detector_config();
   core::detector det = fit_test_detector(monitor, dcfg);
   steady_clock_face clock;

@@ -23,6 +23,7 @@
 #include "core/pipeline.hpp"
 #include "fleet/config.hpp"
 #include "hpc/factory.hpp"
+#include "hpc/resilient_monitor.hpp"
 #include "hpc/sim_backend.hpp"
 #include "hpc/trace_sketch.hpp"
 #include "nn/models/models.hpp"
@@ -416,7 +417,8 @@ TEST(TrackConfig, ValidatesThresholds) {
 TEST(EvaluateTagged, CampaignIsCutOffCleanClientsUntouched) {
   auto model = nn::make_model(nn::architecture::case_study_cnn,
                               shape{1, 16, 16}, 4, 1);
-  hpc::sim_backend monitor(*model);
+  hpc::resilient_monitor monitor(std::make_unique<hpc::sim_backend>(*model),
+                                 hpc::resilience_config::naive());
 
   core::detector_config dcfg;
   const auto events = hpc::core_events();
@@ -441,7 +443,8 @@ TEST(EvaluateTagged, CampaignIsCutOffCleanClientsUntouched) {
   }
   // Fresh monitor so both the 1- and 4-thread runs below start from the
   // same backend state (template fitting above advanced `monitor`).
-  hpc::sim_backend monitor1(*model);
+  hpc::resilient_monitor monitor1(std::make_unique<hpc::sim_backend>(*model),
+                                  hpc::resilience_config::naive());
   const auto r = core::evaluate_tagged(det, monitor1, tracker, queries);
 
   EXPECT_EQ(tracker.level(1), escalation::banned);
@@ -454,7 +457,8 @@ TEST(EvaluateTagged, CampaignIsCutOffCleanClientsUntouched) {
   // Thread-invariance of the whole tagged loop.
   serve::virtual_clock clock2;
   query_tracker tracker2(clock2, fast_track_config());
-  hpc::sim_backend monitor2(*model);
+  hpc::resilient_monitor monitor2(std::make_unique<hpc::sim_backend>(*model),
+                                  hpc::resilience_config::naive());
   const auto r4 = core::evaluate_tagged(det, monitor2, tracker2, queries, 4);
   EXPECT_EQ(r4.banned_skipped, r.banned_skipped);
   EXPECT_EQ(r4.escalated, r.escalated);

@@ -14,9 +14,9 @@
 //     loaded from --detector (or the default detector config).
 //
 // Exit status, over all targets: 0 clean, 1 warnings only, 2 errors,
-// 64 usage. These are the same codes advh_lint reports, and the same
-// ADVH-Exxx identifiers the runtime choke points (load_detector,
-// detector::fit, detection_service construction) embed in their errors.
+// 64 usage. Findings carry the same ADVH-Exxx identifiers the runtime
+// choke points (load_detector, detector::fit, detection_service
+// construction) embed in their errors.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
