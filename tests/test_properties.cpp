@@ -173,11 +173,17 @@ INSTANTIATE_TEST_SUITE_P(Orders, GmmOrderProperty,
 // ---------------------------------------------------------------------------
 // Attack budget compliance across strengths and kinds.
 
+// gtest names an unprintable parameter by its raw bytes, so attack_case must
+// have no padding: uninitialised padding bytes gave a different test name on
+// every run.
 struct attack_case {
   attack::attack_kind kind;
   float epsilon;
-  bool targeted;
+  attack::attack_goal goal;
 };
+static_assert(sizeof(attack_case) == sizeof(attack::attack_kind) +
+                                         sizeof(float) +
+                                         sizeof(attack::attack_goal));
 
 class AttackProperty : public ::testing::TestWithParam<attack_case> {
  protected:
@@ -216,15 +222,17 @@ data::dataset* AttackProperty::eval_ = nullptr;
 TEST_P(AttackProperty, OutputsAreValidBudgetedImages) {
   const auto p = GetParam();
   attack::attack_config cfg;
-  cfg.goal = p.targeted ? attack::attack_goal::targeted
-                        : attack::attack_goal::untargeted;
+  cfg.goal = p.goal;
   cfg.target_class = 1;
   cfg.epsilon = p.epsilon;
   cfg.steps = 8;
   cfg.max_iter = 25;
   auto atk = attack::make_attack(p.kind, cfg);
   for (std::size_t i = 0; i < eval_->size(); ++i) {
-    if (p.targeted && eval_->labels[i] == cfg.target_class) continue;
+    if (p.goal == attack::attack_goal::targeted &&
+        eval_->labels[i] == cfg.target_class) {
+      continue;
+    }
     auto r = atk->run(*model_, nn::single_example(eval_->images, i),
                       eval_->labels[i]);
     for (float v : r.adversarial.data()) {
@@ -242,12 +250,18 @@ TEST_P(AttackProperty, OutputsAreValidBudgetedImages) {
 
 INSTANTIATE_TEST_SUITE_P(
     Budgets, AttackProperty,
-    ::testing::Values(attack_case{attack::attack_kind::fgsm, 0.01f, false},
-                      attack_case{attack::attack_kind::fgsm, 0.1f, false},
-                      attack_case{attack::attack_kind::fgsm, 0.3f, true},
-                      attack_case{attack::attack_kind::pgd, 0.01f, false},
-                      attack_case{attack::attack_kind::pgd, 0.1f, true},
-                      attack_case{attack::attack_kind::deepfool, 0.0f, false}));
+    ::testing::Values(attack_case{attack::attack_kind::fgsm, 0.01f,
+                                  attack::attack_goal::untargeted},
+                      attack_case{attack::attack_kind::fgsm, 0.1f,
+                                  attack::attack_goal::untargeted},
+                      attack_case{attack::attack_kind::fgsm, 0.3f,
+                                  attack::attack_goal::targeted},
+                      attack_case{attack::attack_kind::pgd, 0.01f,
+                                  attack::attack_goal::untargeted},
+                      attack_case{attack::attack_kind::pgd, 0.1f,
+                                  attack::attack_goal::targeted},
+                      attack_case{attack::attack_kind::deepfool, 0.0f,
+                                  attack::attack_goal::untargeted}));
 
 // ---------------------------------------------------------------------------
 // Trace replay consistency across layer geometries.
