@@ -35,9 +35,15 @@ shape batchnorm2d::infer_output_shape(const shape& in) const {
 tensor batchnorm2d::forward(const tensor& x, forward_ctx& ctx) {
   ADVH_CHECK_MSG(x.dims().rank() == 4, name_ + ": expects NCHW");
   ADVH_CHECK_MSG(x.dims()[1] == channels_, name_ + ": channel mismatch");
-  const std::size_t n = x.dims()[0], h = x.dims()[2], w = x.dims()[3];
-  const std::size_t per_channel = n * h * w;
+  const std::size_t n = x.dims()[0];
+  const std::size_t plane = x.dims()[2] * x.dims()[3];
+  const std::size_t per_channel = n * plane;
   ADVH_CHECK(per_channel > 0);
+  // Element i of channel c in batch element b sits at px[offset(b, c) + i].
+  const auto offset = [&](std::size_t b, std::size_t c) {
+    return (b * channels_ + c) * plane;
+  };
+  const float* px = x.data().data();
 
   tensor out(x.dims());
 
@@ -47,17 +53,19 @@ tensor batchnorm2d::forward(const tensor& x, forward_ctx& ctx) {
   if (ctx.training) {
     for (std::size_t c = 0; c < channels_; ++c) {
       double sum = 0.0;
-      for (std::size_t b = 0; b < n; ++b)
-        for (std::size_t y = 0; y < h; ++y)
-          for (std::size_t xx = 0; xx < w; ++xx) sum += x.at(b, c, y, xx);
+      for (std::size_t b = 0; b < n; ++b) {
+        const float* p = px + offset(b, c);
+        for (std::size_t i = 0; i < plane; ++i) sum += p[i];
+      }
       const double m = sum / static_cast<double>(per_channel);
       double v = 0.0;
-      for (std::size_t b = 0; b < n; ++b)
-        for (std::size_t y = 0; y < h; ++y)
-          for (std::size_t xx = 0; xx < w; ++xx) {
-            const double d = x.at(b, c, y, xx) - m;
-            v += d * d;
-          }
+      for (std::size_t b = 0; b < n; ++b) {
+        const float* p = px + offset(b, c);
+        for (std::size_t i = 0; i < plane; ++i) {
+          const double d = p[i] - m;
+          v += d * d;
+        }
+      }
       v /= static_cast<double>(per_channel);
       mean[c] = static_cast<float>(m);
       var[c] = static_cast<float>(v);
@@ -80,15 +88,23 @@ tensor batchnorm2d::forward(const tensor& x, forward_ctx& ctx) {
     input_ = x;
     xhat_ = tensor(x.dims());
   }
+  float* po = out.data().data();
   for (std::size_t c = 0; c < channels_; ++c) {
+    const float mc = mean[c];
     const float inv_std = 1.0f / std::sqrt(var[c] + eps_);
-    for (std::size_t b = 0; b < n; ++b)
-      for (std::size_t y = 0; y < h; ++y)
-        for (std::size_t xx = 0; xx < w; ++xx) {
-          const float xh = (x.at(b, c, y, xx) - mean[c]) * inv_std;
-          if (ctx.grad) xhat_.at(b, c, y, xx) = xh;
-          out.at(b, c, y, xx) = gamma_.value[c] * xh + beta_.value[c];
-        }
+    const float gc = gamma_.value[c];
+    const float bc = beta_.value[c];
+    for (std::size_t b = 0; b < n; ++b) {
+      const float* p = px + offset(b, c);
+      float* o = po + offset(b, c);
+      for (std::size_t i = 0; i < plane; ++i) {
+        o[i] = gc * ((p[i] - mc) * inv_std) + bc;
+      }
+      if (ctx.grad) {
+        float* xh = xhat_.data().data() + offset(b, c);
+        for (std::size_t i = 0; i < plane; ++i) xh[i] = (p[i] - mc) * inv_std;
+      }
+    }
   }
 
   if (ctx.trace != nullptr) {

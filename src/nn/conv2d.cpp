@@ -59,8 +59,15 @@ tensor conv2d::forward(const tensor& x, forward_ctx& ctx) {
   const ops::conv_geometry g{cfg_.in_channels, x.dims()[2], x.dims()[3],
                              cfg_.kernel,      cfg_.kernel, cfg_.stride,
                              cfg_.pad};
-  const std::size_t oh = g.out_h();
-  const std::size_t ow = g.out_w();
+  ADVH_CHECK_MSG(g.in_h + 2 * g.pad >= g.kernel_h &&
+                     g.in_w + 2 * g.pad >= g.kernel_w,
+                 name_ + ": kernel does not fit the input");
+  const std::size_t plane = g.out_h() * g.out_w();
+  const std::size_t rows = cfg_.in_channels * cfg_.kernel * cfg_.kernel;
+  const std::size_t image = cfg_.in_channels * g.in_h * g.in_w;
+  // A 1x1, stride-1, unpadded conv's column matrix is its input image.
+  const bool pointwise =
+      cfg_.kernel == 1 && cfg_.stride == 1 && cfg_.pad == 0;
 
   if (ctx.grad) {
     input_ = x;
@@ -68,19 +75,26 @@ tensor conv2d::forward(const tensor& x, forward_ctx& ctx) {
     cols_.reserve(batch);
   }
 
-  tensor out(shape{batch, cfg_.out_channels, oh, ow});
+  tensor out(shape{batch, cfg_.out_channels, g.out_h(), g.out_w()});
   for (std::size_t b = 0; b < batch; ++b) {
-    tensor col = ops::im2col(x, b, g);
-    // (out_c, rows) x (rows, oh*ow) -> (out_c, oh*ow)
-    tensor y = ops::matmul(weight_.value, col);
-    if (ctx.grad) cols_.push_back(std::move(col));
-    float* po = out.data().data() + b * cfg_.out_channels * oh * ow;
-    const float* py = y.data().data();
-    for (std::size_t i = 0; i < cfg_.out_channels * oh * ow; ++i) po[i] = py[i];
+    const float* px = x.data().data() + b * image;
+    const float* cols = px;
+    if (ctx.grad) {
+      cols_.push_back(ops::im2col(x, b, g));  // backward needs it
+      cols = cols_.back().data().data();
+    } else if (!pointwise) {
+      float* scratch = ctx.scratch.get(rows * plane);
+      ops::im2col(px, g, scratch);
+      cols = scratch;
+    }
+    // (out_c, rows) x (rows, oh*ow) -> (out_c, oh*ow), into the output.
+    float* po = out.data().data() + b * cfg_.out_channels * plane;
+    ops::matmul(weight_.value.data().data(), cols, po, cfg_.out_channels,
+                rows, plane);
     if (bias_) {
       for (std::size_t c = 0; c < cfg_.out_channels; ++c) {
         const float bv = bias_->value[c];
-        for (std::size_t i = 0; i < oh * ow; ++i) po[c * oh * ow + i] += bv;
+        for (std::size_t i = 0; i < plane; ++i) po[c * plane + i] += bv;
       }
     }
   }
@@ -98,7 +112,7 @@ tensor conv2d::forward(const tensor& x, forward_ctx& ctx) {
     e.in_channels = cfg_.in_channels;
     e.in_spatial = x.dims()[2] * x.dims()[3];
     e.out_channels = cfg_.out_channels;
-    e.out_spatial = oh * ow;
+    e.out_spatial = plane;
     e.active_inputs = nonzero_indices(x);
     ctx.trace->layers.push_back(std::move(e));
   }

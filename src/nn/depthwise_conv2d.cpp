@@ -1,5 +1,6 @@
 #include "nn/depthwise_conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -55,31 +56,38 @@ tensor depthwise_conv2d::forward(const tensor& x, forward_ctx& ctx) {
 
   if (ctx.grad) input_ = x;
   tensor out(shape{batch, cfg_.channels, oh, ow});
+  const auto k = static_cast<std::ptrdiff_t>(cfg_.kernel);
+  const auto stride = static_cast<std::ptrdiff_t>(cfg_.stride);
+  const auto pad = static_cast<std::ptrdiff_t>(cfg_.pad);
+  const auto sih = static_cast<std::ptrdiff_t>(ih);
+  const auto siw = static_cast<std::ptrdiff_t>(iw);
+  const float* px = x.data().data();
+  float* po = out.data().data();
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t c = 0; c < cfg_.channels; ++c) {
+      const float* img = px + (b * cfg_.channels + c) * ih * iw;
       const float* w = weight_.value.data().data() +
                        c * cfg_.kernel * cfg_.kernel;
       const float bv = bias_ ? bias_->value[c] : 0.0f;
       for (std::size_t y = 0; y < oh; ++y) {
+        // Input row of tap kh is y0 + kh; taps off the image are skipped.
+        const std::ptrdiff_t y0 = static_cast<std::ptrdiff_t>(y) * stride - pad;
+        const std::ptrdiff_t kh_lo = std::max<std::ptrdiff_t>(0, -y0);
+        const std::ptrdiff_t kh_hi = std::min(k, sih - y0);
         for (std::size_t xw = 0; xw < ow; ++xw) {
+          const std::ptrdiff_t x0 =
+              static_cast<std::ptrdiff_t>(xw) * stride - pad;
+          const std::ptrdiff_t kw_lo = std::max<std::ptrdiff_t>(0, -x0);
+          const std::ptrdiff_t kw_hi = std::min(k, siw - x0);
           double acc = bv;
-          for (std::size_t kh = 0; kh < cfg_.kernel; ++kh) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(y * cfg_.stride + kh) -
-                static_cast<std::ptrdiff_t>(cfg_.pad);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(ih)) continue;
-            for (std::size_t kw = 0; kw < cfg_.kernel; ++kw) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(xw * cfg_.stride + kw) -
-                  static_cast<std::ptrdiff_t>(cfg_.pad);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(iw)) continue;
-              acc += static_cast<double>(
-                         x.at(b, c, static_cast<std::size_t>(iy),
-                              static_cast<std::size_t>(ix))) *
-                     w[kh * cfg_.kernel + kw];
+          for (std::ptrdiff_t kh = kh_lo; kh < kh_hi; ++kh) {
+            const float* row = img + (y0 + kh) * siw;
+            const float* wr = w + kh * k;
+            for (std::ptrdiff_t kw = kw_lo; kw < kw_hi; ++kw) {
+              acc += static_cast<double>(row[x0 + kw]) * wr[kw];
             }
           }
-          out.at(b, c, y, xw) = static_cast<float>(acc);
+          *po++ = static_cast<float>(acc);
         }
       }
     }

@@ -55,12 +55,16 @@ void layer::collect_state(std::vector<tensor*>& out) {
 }
 
 std::vector<std::uint32_t> layer::nonzero_indices(const tensor& x) {
-  std::vector<std::uint32_t> idx;
   auto d = x.data();
-  idx.reserve(d.size() / 2);
+  // Branch-free compaction: every index is written, only non-zeros advance
+  // (which inputs fired is data, so a branch on it mispredicts).
+  std::vector<std::uint32_t> idx(d.size());
+  std::size_t n = 0;
   for (std::size_t i = 0; i < d.size(); ++i) {
-    if (d[i] != 0.0f) idx.push_back(static_cast<std::uint32_t>(i));
+    idx[n] = static_cast<std::uint32_t>(i);
+    n += d[i] != 0.0f;
   }
+  idx.resize(n);
   return idx;
 }
 

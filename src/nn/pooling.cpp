@@ -108,18 +108,18 @@ tensor avgpool2d::forward(const tensor& x, forward_ctx& ctx) {
   if (ctx.grad) in_shape_ = x.dims();
   tensor out(shape{n, c, oh, ow});
   const float inv = 1.0f / static_cast<float>(window_ * window_);
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t xx = 0; xx < ow; ++xx) {
-          double acc = 0.0;
-          for (std::size_t ky = 0; ky < window_; ++ky) {
-            for (std::size_t kx = 0; kx < window_; ++kx) {
-              acc += x.at(b, ch, y * stride_ + ky, xx * stride_ + kx);
-            }
-          }
-          out.at(b, ch, y, xx) = static_cast<float>(acc) * inv;
+  const float* px = x.data().data();
+  float* po = out.data().data();
+  for (std::size_t p = 0; p < n * c; ++p) {
+    const float* img = px + p * h * w;
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t xx = 0; xx < ow; ++xx) {
+        double acc = 0.0;
+        for (std::size_t ky = 0; ky < window_; ++ky) {
+          const float* row = img + (y * stride_ + ky) * w + xx * stride_;
+          for (std::size_t kx = 0; kx < window_; ++kx) acc += row[kx];
         }
+        *po++ = static_cast<float>(acc) * inv;
       }
     }
   }
@@ -165,14 +165,13 @@ tensor global_avgpool::forward(const tensor& x, forward_ctx& ctx) {
   if (ctx.grad) in_shape_ = x.dims();
   tensor out(shape{n, c});
   const float inv = 1.0f / static_cast<float>(h * w);
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      double acc = 0.0;
-      for (std::size_t y = 0; y < h; ++y) {
-        for (std::size_t xx = 0; xx < w; ++xx) acc += x.at(b, ch, y, xx);
-      }
-      out.at(b, ch) = static_cast<float>(acc) * inv;
-    }
+  const float* px = x.data().data();
+  float* po = out.data().data();
+  for (std::size_t p = 0; p < n * c; ++p) {
+    const float* img = px + p * h * w;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < h * w; ++i) acc += img[i];
+    po[p] = static_cast<float>(acc) * inv;
   }
   record_pool_trace(ctx, layer_kind::global_avgpool, name_, x, out);
   return out;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,26 @@ struct trace_contract {
   bool records_active_outputs = false;
 };
 
+/// Working memory a layer's inference path borrows for the length of one
+/// layer call (conv2d's column matrix). It grows to the largest request and
+/// is reused after that. It lives in a forward_ctx, which one thread uses
+/// at a time, so concurrent forwards of a shared model never share it.
+class scratch_buffer {
+ public:
+  /// Storage for at least `n` floats, contents unspecified.
+  float* get(std::size_t n) {
+    if (n > size_) {
+      data_ = std::make_unique_for_overwrite<float[]>(n);
+      size_ = n;
+    }
+    return data_.get();
+  }
+
+ private:
+  std::unique_ptr<float[]> data_;
+  std::size_t size_ = 0;
+};
+
 /// Options threaded through every layer's forward pass.
 struct forward_ctx {
   bool training = false;
@@ -88,6 +109,7 @@ struct forward_ctx {
   bool grad = true;
   /// When non-null (requires batch size 1) layers append trace entries.
   inference_trace* trace = nullptr;
+  scratch_buffer scratch;
 };
 
 }  // namespace advh::nn

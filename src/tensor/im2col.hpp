@@ -34,6 +34,10 @@ struct conv_geometry {
 tensor im2col(const tensor& input, std::size_t batch_index,
               const conv_geometry& g);
 
+/// The same unfolding from one raw (C_in, H, W) image into caller-owned
+/// storage of (C_in*KH*KW) x (OH*OW) floats.
+void im2col(const float* image, const conv_geometry& g, float* cols);
+
 /// Scatters a column-matrix gradient back into an image-shaped gradient,
 /// accumulating into `grad_input` at the given batch index.
 void col2im_accumulate(const tensor& cols, std::size_t batch_index,

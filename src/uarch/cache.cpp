@@ -1,10 +1,17 @@
 #include "uarch/cache.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace advh::uarch {
+
+namespace {
+// No tag: addr >> line_shift_ never sets every bit.
+constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+}  // namespace
 
 cache::cache(const cache_config& cfg) : cfg_(cfg) {
   ADVH_CHECK_MSG(std::has_single_bit(cfg_.line_bytes),
@@ -14,8 +21,10 @@ cache::cache(const cache_config& cfg) : cfg_(cfg) {
   sets_ = cfg_.size_bytes / (cfg_.line_bytes * cfg_.associativity);
   ADVH_CHECK_MSG(std::has_single_bit(sets_),
                  "set count must be a power of two");
+  ways_ = cfg_.associativity;
   line_shift_ = static_cast<std::size_t>(std::countr_zero(cfg_.line_bytes));
-  lines_.assign(sets_ * cfg_.associativity, line{});
+  tags_.assign(sets_ * ways_, kEmpty);
+  dirty_.assign(sets_ * ways_, 0);
 }
 
 std::size_t cache::set_index(std::uint64_t addr) const noexcept {
@@ -26,93 +35,56 @@ std::uint64_t cache::tag_of(std::uint64_t addr) const noexcept {
   return addr >> line_shift_;  // keep the set bits in the tag; harmless
 }
 
-bool cache::access(std::uint64_t addr, access_type type) {
-  ++tick_;
-  const std::size_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  line* base = lines_.data() + set * cfg_.associativity;
-
-  if (type == access_type::load) {
-    ++stats_.loads;
-  } else {
-    ++stats_.stores;
+inline bool cache::promote(std::size_t base, std::uint64_t tag,
+                           bool dirty) noexcept {
+  std::uint64_t* t = tags_.data() + base;
+  std::uint8_t* d = dirty_.data() + base;
+  if (t[0] == tag) {
+    d[0] |= static_cast<std::uint8_t>(dirty);
+    return true;
   }
-
-  for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].lru = tick_;
-      if (type == access_type::store) base[w].dirty = true;
+  // Walks the set from the front, moving each line back one slot, until
+  // the walk reaches the line itself (a hit: its slot absorbs the shift)
+  // or runs off the end (a miss: the last line falls out).
+  std::uint64_t carry = tag;
+  auto carry_dirty = static_cast<std::uint8_t>(dirty);
+  for (std::size_t w = 0; w < ways_; ++w) {
+    std::swap(t[w], carry);
+    std::swap(d[w], carry_dirty);
+    if (carry == tag) {
+      d[0] |= carry_dirty;
       return true;
     }
   }
-
-  // Miss: pick invalid way or LRU victim.
-  if (type == access_type::load) {
-    ++stats_.load_misses;
-  } else {
-    ++stats_.store_misses;
-  }
-  std::size_t victim = 0;
-  bool found_invalid = false;
-  for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-    if (!base[w].valid) {
-      victim = w;
-      found_invalid = true;
-      break;
-    }
-    if (base[w].lru < base[victim].lru) victim = w;
-  }
-  if (!found_invalid && base[victim].valid) {
+  if (carry != kEmpty) {
     ++stats_.evictions;
-    if (base[victim].dirty) ++stats_.writebacks;
+    if (carry_dirty) ++stats_.writebacks;
   }
-  base[victim] = line{tag, tick_, true, type == access_type::store};
+  return false;
+}
+
+bool cache::access(std::uint64_t addr, access_type type) {
+  const bool store = type == access_type::store;
+  ++(store ? stats_.stores : stats_.loads);
+  if (promote(set_index(addr) * ways_, tag_of(addr), store)) return true;
+  ++(store ? stats_.store_misses : stats_.load_misses);  // write-allocate
   return false;
 }
 
 void cache::fill(std::uint64_t addr) {
-  ++tick_;
-  const std::size_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  line* base = lines_.data() + set * cfg_.associativity;
   ++stats_.prefetch_fills;
-  for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      // Already resident: refresh recency only.
-      base[w].lru = tick_;
-      return;
-    }
-  }
-  std::size_t victim = 0;
-  bool found_invalid = false;
-  for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-    if (!base[w].valid) {
-      victim = w;
-      found_invalid = true;
-      break;
-    }
-    if (base[w].lru < base[victim].lru) victim = w;
-  }
-  if (!found_invalid && base[victim].valid) {
-    ++stats_.evictions;
-    if (base[victim].dirty) ++stats_.writebacks;
-  }
-  base[victim] = line{tag, tick_, true, false};
+  // A resident line only moves to the front.
+  (void)promote(set_index(addr) * ways_, tag_of(addr), false);
 }
 
 bool cache::probe(std::uint64_t addr) const {
-  const std::size_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  const line* base = lines_.data() + set * cfg_.associativity;
-  for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
-  }
-  return false;
+  const std::uint64_t* t = tags_.data() + set_index(addr) * ways_;
+  return std::find(t, t + ways_, tag_of(addr)) != t + ways_;
 }
 
 void cache::reset() noexcept {
-  for (auto& l : lines_) l = line{};
-  tick_ = 0;
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
   stats_ = cache_stats{};
 }
 

@@ -57,21 +57,25 @@ class cache {
   std::size_t num_sets() const noexcept { return sets_; }
 
  private:
-  struct line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  // last-use timestamp
-    bool valid = false;
-    bool dirty = false;
-  };
-
   std::size_t set_index(std::uint64_t addr) const noexcept;
   std::uint64_t tag_of(std::uint64_t addr) const noexcept;
+  /// Makes the line `tag` the most recent of the set starting at slot
+  /// `base` and returns whether it was resident. A resident line keeps its
+  /// dirty bit or-ed with `dirty`; a missing one enters with `dirty`,
+  /// evicting the least recent line when the set is full.
+  bool promote(std::size_t base, std::uint64_t tag, bool dirty) noexcept;
 
   cache_config cfg_;
   std::size_t sets_;
+  std::size_t ways_;
   std::size_t line_shift_;
-  std::vector<line> lines_;  // sets_ * associativity, set-major
-  std::uint64_t tick_ = 0;
+  // Per set, `ways_` slots in recency order: slot 0 holds the most recently
+  // used line and the last slot the LRU victim. Lines fill from the front
+  // and are never invalidated (reset() clears everything), so empty slots
+  // (kEmpty) are always at the back. This evicts exactly the line a
+  // last-use-timestamp LRU would.
+  std::vector<std::uint64_t> tags_;  // sets_ * ways_, set-major
+  std::vector<std::uint8_t> dirty_;  // parallel to tags_
   cache_stats stats_;
 };
 

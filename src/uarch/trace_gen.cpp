@@ -91,30 +91,55 @@ void trace_generator::replay_parametric(const nn::layer_trace_entry& e,
   // deep layers — where activations are class-semantic — each active
   // unit contributes a distinct line, which is the data-flow signal
   // AdvHunter monitors.
+  //
+  // An active input at spatial position s of any channel gathers the same
+  // panel lines and accumulates into the same output words, so both offset
+  // sets are tabled once per position and the loop below divides nothing.
+  const std::size_t gathers = cfg_.panel_lines;
+  panel_offsets_.resize(in_spatial * gathers);
+  accum_offsets_.resize(in_spatial * fanout);
+  for (std::size_t s = 0; s < in_spatial; ++s) {
+    const std::size_t block = s / cfg_.spatial_block;
+    for (std::size_t l = 0; l < gathers; ++l) {
+      panel_offsets_[s * gathers + l] =
+          ((block + l * 0x61ULL) % panel_lines) * kLine;
+    }
+    const std::size_t spatial_out =
+        in_spatial > 1 ? s * out_spatial / in_spatial : 0;
+    for (std::size_t f = 0; f < fanout; ++f) {
+      const std::size_t plane = f * out_channels / fanout;
+      accum_offsets_[s * fanout + f] =
+          (plane * out_plane_bytes + spatial_out * sizeof(float)) % out_bytes;
+    }
+  }
+
+  // Channel of the current input, tracked incrementally: active inputs come
+  // in ascending order, so the walk only moves forward.
+  std::size_t channel_start = 0;  // flat index of the channel's first element
+  std::uint64_t panel = w_base;   // the channel's weight panel
   for (std::uint32_t i : e.active_inputs) {
     // Load the element's own value.
     mem_.data_access(in_base + static_cast<std::uint64_t>(i) * sizeof(float),
                      access_type::load);
 
-    const std::size_t channel = i / in_spatial;
-    const std::size_t block = (i % in_spatial) / cfg_.spatial_block;
-    const std::uint64_t panel =
-        w_base + static_cast<std::uint64_t>(channel) * panel_bytes;
-    for (std::size_t l = 0; l < cfg_.panel_lines; ++l) {
-      mem_.data_access(panel + ((block + l * 0x61ULL) % panel_lines) * kLine,
+    if (i < channel_start) {  // out-of-order input: restart the walk
+      channel_start = 0;
+      panel = w_base;
+    }
+    while (i - channel_start >= in_spatial) {
+      channel_start += in_spatial;
+      panel += panel_bytes;
+    }
+    const std::size_t s = i - channel_start;
+    for (std::size_t l = 0; l < gathers; ++l) {
+      mem_.data_access(panel + panel_offsets_[s * gathers + l],
                        access_type::load);
     }
 
     // Accumulate into the output window at this spatial position across a
     // sample of output-channel planes.
-    const std::size_t spatial_in = i % in_spatial;
-    const std::size_t spatial_out =
-        in_spatial > 1 ? spatial_in * out_spatial / in_spatial : 0;
     for (std::size_t f = 0; f < fanout; ++f) {
-      const std::size_t plane = f * out_channels / fanout;
-      const std::uint64_t addr =
-          out_base + (plane * out_plane_bytes + spatial_out * sizeof(float)) %
-                         out_bytes;
+      const std::uint64_t addr = out_base + accum_offsets_[s * fanout + f];
       mem_.data_access(addr, access_type::load);
       mem_.data_access(addr, access_type::store);
     }

@@ -98,6 +98,10 @@ class trace_generator {
   bool write_to_second_ = true;
   std::vector<std::uint64_t> weight_bases_;  // running layout per layer
   std::uint64_t next_weight_base_;
+  // Per spatial position of the current parametric layer's input: offsets
+  // into its channel's weight panel and into the output buffer.
+  std::vector<std::uint64_t> panel_offsets_;
+  std::vector<std::uint64_t> accum_offsets_;
 };
 
 }  // namespace advh::uarch

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "tensor/matmul.hpp"
@@ -168,7 +169,7 @@ TEST(Matmul, ABTransposedAgrees) {
 }
 
 TEST(Matmul, SparseInputFastPathCorrect) {
-  // Zero rows in A exercise the skip branch; result must match dense math.
+  // Zero entries in A contribute nothing; result must match dense math.
   tensor a(shape{2, 3}, std::vector<float>{0.0f, 2.0f, 0.0f,
                                            1.0f, 0.0f, 3.0f});
   tensor b(shape{3, 2}, std::vector<float>{1, 2, 3, 4, 5, 6});
@@ -177,6 +178,51 @@ TEST(Matmul, SparseInputFastPathCorrect) {
   EXPECT_FLOAT_EQ(c.at(0, 1), 8.0f);
   EXPECT_FLOAT_EQ(c.at(1, 0), 16.0f);
   EXPECT_FLOAT_EQ(c.at(1, 1), 20.0f);
+}
+
+/// Each element of C sums its products in ascending k, in float, from +0.
+tensor ascending_k_matmul(const tensor& a, const tensor& b) {
+  const std::size_t m = a.dims()[0], k = a.dims()[1], n = b.dims()[1];
+  tensor c(shape{m, n});
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        acc += a.data()[i * k + kk] * b.data()[kk * n + j];
+      }
+      c.data()[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+TEST(Matmul, BlockedKernelMatchesAscendingKReferenceBitForBit) {
+  // Ragged shapes hit the 4x8 register block, its row and column edges and
+  // the scalar tail. Half-zero operands (with negative entries, so some
+  // products are -0) check that no zero-skip is needed for exactness.
+  rng gen(11);
+  for (std::size_t m : {1, 3, 4, 5, 9}) {
+    for (std::size_t k : {1, 7, 72}) {
+      for (std::size_t n : {1, 7, 8, 9, 33}) {
+        for (bool half_zero : {false, true}) {
+          tensor a = tensor::randn(shape{m, k}, gen);
+          tensor b = tensor::randn(shape{k, n}, gen);
+          if (half_zero) {
+            for (float& v : a.data()) v = gen.bernoulli(0.5) ? 0.0f : v;
+            for (float& v : b.data()) v = gen.bernoulli(0.5) ? 0.0f : v;
+          }
+          const tensor want = ascending_k_matmul(a, b);
+          const tensor got = matmul(a, b);
+          ASSERT_EQ(got.dims(), want.dims());
+          EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                want.numel() * sizeof(float)),
+                    0)
+              << "m=" << m << " k=" << k << " n=" << n
+              << " half_zero=" << half_zero;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

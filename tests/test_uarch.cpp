@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+
 #include "common/rng.hpp"
 
 #include "common/error.hpp"
@@ -100,6 +103,127 @@ TEST(Cache, FullyAssociativeWorks) {
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_TRUE(c.probe(i * 0x1000));
   c.access(0x9000, access_type::load);
   EXPECT_FALSE(c.probe(0x0));  // LRU victim
+}
+
+/// The last-use-timestamp LRU the recency-ordered cache must reproduce:
+/// every line keeps the tick of its last use, and a miss fills the first
+/// invalid way or else evicts the line with the oldest tick.
+class timestamp_lru {
+ public:
+  explicit timestamp_lru(const cache_config& cfg)
+      : ways_(cfg.associativity),
+        sets_(cfg.size_bytes / (cfg.line_bytes * cfg.associativity)),
+        shift_(static_cast<std::size_t>(std::countr_zero(cfg.line_bytes))),
+        lines_(sets_ * ways_) {}
+
+  bool access(std::uint64_t addr, access_type type) {
+    const bool store = type == access_type::store;
+    ++(store ? stats.stores : stats.loads);
+    if (line* l = find(addr)) {
+      l->tick = ++tick_;
+      l->dirty = l->dirty || store;
+      return true;
+    }
+    ++(store ? stats.store_misses : stats.load_misses);
+    allocate(addr, store);
+    return false;
+  }
+
+  void fill(std::uint64_t addr) {
+    ++stats.prefetch_fills;
+    if (line* l = find(addr)) {
+      l->tick = ++tick_;
+    } else {
+      allocate(addr, false);
+    }
+  }
+
+  bool probe(std::uint64_t addr) { return find(addr) != nullptr; }
+
+  cache_stats stats;
+
+ private:
+  struct line {
+    std::uint64_t tag = 0;
+    std::uint64_t tick = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+
+  line* set_of(std::uint64_t addr) {
+    return lines_.data() + ((addr >> shift_) & (sets_ - 1)) * ways_;
+  }
+  line* find(std::uint64_t addr) {
+    line* set = set_of(addr);
+    for (std::size_t w = 0; w < ways_; ++w) {
+      if (set[w].valid && set[w].tag == addr >> shift_) return &set[w];
+    }
+    return nullptr;
+  }
+  void allocate(std::uint64_t addr, bool dirty) {
+    line* set = set_of(addr);
+    line* victim = set;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      if (!set[w].valid) {
+        victim = &set[w];
+        break;
+      }
+      if (set[w].tick < victim->tick) victim = &set[w];
+    }
+    if (victim->valid) {
+      ++stats.evictions;
+      if (victim->dirty) ++stats.writebacks;
+    }
+    *victim = line{addr >> shift_, ++tick_, true, dirty};
+  }
+
+  std::size_t ways_, sets_, shift_;
+  std::vector<line> lines_;
+  std::uint64_t tick_ = 0;
+};
+
+std::array<std::uint64_t, 7> fields(const cache_stats& s) {
+  return {s.loads,        s.stores,    s.prefetch_fills, s.load_misses,
+          s.store_misses, s.evictions, s.writebacks};
+}
+
+TEST(Cache, MatchesTimestampLruOnRandomStreams) {
+  const cache_config geometries[] = {
+      {"1 set x 4", 256, 64, 4},   {"4 sets x 1", 256, 64, 1},
+      {"4 sets x 2", 512, 64, 2},  {"4 sets x 4", 1024, 64, 4},
+      {"8 sets x 8", 4096, 64, 8},
+  };
+  for (const cache_config& cfg : geometries) {
+    SCOPED_TRACE(cfg.name);
+    cache c(cfg);
+    timestamp_lru ref(cfg);
+    // Three times as many distinct lines as the cache holds: hits, misses,
+    // evictions and dirty writebacks all occur.
+    const std::uint64_t lines = 3 * cfg.size_bytes / cfg.line_bytes;
+    rng gen(0xcace + cfg.associativity);
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t addr =
+          gen.uniform_index(lines) * cfg.line_bytes +
+          gen.uniform_index(cfg.line_bytes);
+      const double op = gen.uniform();
+      if (op < 0.45) {
+        ASSERT_EQ(c.access(addr, access_type::load),
+                  ref.access(addr, access_type::load));
+      } else if (op < 0.8) {
+        ASSERT_EQ(c.access(addr, access_type::store),
+                  ref.access(addr, access_type::store));
+      } else {
+        c.fill(addr);
+        ref.fill(addr);
+      }
+      ASSERT_EQ(fields(c.stats()), fields(ref.stats)) << "step " << step;
+      for (std::uint64_t l = 0; l < lines; ++l) {
+        ASSERT_EQ(c.probe(l * cfg.line_bytes), ref.probe(l * cfg.line_bytes))
+            << "line " << l << " after step " << step;
+      }
+    }
+    EXPECT_GT(c.stats().writebacks, 0u);
+  }
 }
 
 TEST(Gshare, LearnsAlwaysTaken) {
@@ -212,6 +336,17 @@ TEST(TraceGen, InstructionsIndependentOfPattern) {
   const auto b = gen.run(make_trace({100, 120, 130, 250}));
   EXPECT_EQ(a.instructions, b.instructions);
   EXPECT_EQ(a.branches, b.branches);
+}
+
+TEST(TraceGen, UnorderedActiveInputsReplay) {
+  // The replay walks channels forward over ascending active inputs, the
+  // order nonzero_indices yields; an input behind the walk restarts it
+  // rather than sending it past the last channel.
+  trace_generator gen;
+  const auto down = gen.run(make_trace({250, 130, 120, 100, 3, 2, 1, 0}));
+  const auto up = gen.run(make_trace({0, 1, 2, 3, 100, 120, 130, 250}));
+  EXPECT_EQ(down.instructions, up.instructions);
+  EXPECT_EQ(down.branches, up.branches);
 }
 
 TEST(TraceGen, CacheFootprintDependsOnPattern) {
