@@ -447,15 +447,22 @@ TEST(DriftCheckpoint, EveryTruncationIsRejected) {
   }
   const std::string path = scratch_path("advh_drift_trunc");
   save_checkpoint(ctl, path);
-  const std::string bytes = slurp(path);
-  ASSERT_GT(bytes.size(), 64u);
+  const std::string v4 = slurp(path);
+  // v5: the same checkpoint with the fleet section and CRC32C trailer.
+  save_checkpoint(ctl, path, checkpoint_meta{});
+  const std::string v5 = slurp(path);
+  ASSERT_GT(v4.size(), 64u);
+  ASSERT_GT(v5.size(), v4.size());
 
   // A kill -9 mid-write can never surface a prefix as the checkpoint
   // (atomic rename), but a corrupt disk can: every proper prefix must be
   // rejected as unreadable, not half-loaded.
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    atomic_write_file(path, std::string_view(bytes).substr(0, len));
-    EXPECT_THROW(core::load_checkpoint(path), io_error) << "prefix " << len;
+  for (const std::string& bytes : {v4, v5}) {
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      atomic_write_file(path, std::string_view(bytes).substr(0, len));
+      EXPECT_THROW(core::load_checkpoint(path), io_error)
+          << "prefix " << len << " of " << bytes.size();
+    }
   }
   std::remove(path.c_str());
 }

@@ -1,11 +1,15 @@
 // Coverage for the smaller shared facilities: logging levels, layer-kind
-// names, trace bookkeeping, sequential container semantics, and noise-spec
-// editing.
+// names, trace bookkeeping, sequential container semantics, noise-spec
+// editing, CRC32C and the atomic file write.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/fs.hpp"
 #include "common/logging.hpp"
 #include "hpc/noise.hpp"
 #include "nn/activations.hpp"
@@ -103,6 +107,36 @@ TEST(Dropout, BackwardMatchesMask) {
     // Gradient flows exactly where the forward pass kept the unit.
     EXPECT_EQ(g[i], y[i]);
   }
+}
+
+TEST(Crc32c, StandardCheckValue) {
+  EXPECT_EQ(crc32c("123456789"), 0xE3069283u);
+}
+
+TEST(Crc32c, ContinuesAcrossChunks) {
+  const std::string a = "AdvHunter ADET v5 ";
+  const std::string b = "checksum trailer";
+  EXPECT_EQ(crc32c(b, crc32c(a)), crc32c(a + b));
+}
+
+std::string test_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "advh_misc_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(Checkpoint, AtomicWriteCreatesAncestorsAndSurfacesErrors) {
+  const std::string dir = test_dir("fs_durability");
+  const std::string nested = dir + "/a/b/c/ledger.bin";
+  atomic_write_file(nested, "payload");
+  std::ifstream is(nested, std::ios::binary);
+  const std::string got{std::istreambuf_iterator<char>(is),
+                        std::istreambuf_iterator<char>()};
+  EXPECT_EQ(got, "payload");
+
+  // A file in the ancestor chain cannot become a directory.
+  EXPECT_THROW(atomic_write_file(nested + "/impossible.bin", "x"), io_error);
 }
 
 TEST(Relu, TraceSkippedForBatches) {
