@@ -34,8 +34,8 @@ void atomic_write_file(const std::string& path, std::string_view bytes);
 /// continuing from `crc` so checksums can be computed incrementally:
 /// crc32c(b, crc32c(a)) == crc32c(a + b). Portable table-driven software
 /// implementation — every byte order produces the same value on every
-/// platform, which is what lets range digests be compared across replicas
-/// and what makes the on-disk checksum trailers byte-stable.
+/// platform, which is what makes the on-disk checksum trailers
+/// byte-stable.
 std::uint32_t crc32c(std::string_view bytes, std::uint32_t crc = 0);
 
 /// Reads the whole file at `path` into a string. Throws advh::io_error

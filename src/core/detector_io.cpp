@@ -21,12 +21,11 @@ constexpr std::uint32_t kMagic = 0x41444554;  // "ADET"
 // the model grid; 5 appends a fleet section (view epoch, shard identity,
 // content version, rollback flag) after the drift section, followed by a
 // mandatory whole-file checksum trailer ("ADCK" magic + CRC32C over every
-// preceding byte) so a fleet never applies a shard whose bytes rotted on
-// disk. Older files still load (policies default to the fail-closed
-// detector_config values; drift state and fleet metadata default to
-// absent; v4 and below carry no trailer). Writers emit v4 unless fleet
-// metadata is attached, so meta-less saves stay byte-identical across
-// revisions.
+// preceding byte) so bytes that rotted on disk never load. Older files
+// still load (policies default to the fail-closed detector_config values;
+// drift state and fleet metadata default to absent; v4 and below carry no
+// trailer). Writers emit v4 unless fleet metadata is attached, so
+// meta-less saves stay byte-identical across revisions.
 constexpr std::uint32_t kVersion = 4;
 constexpr std::uint32_t kVersionFleet = 5;
 constexpr std::uint32_t kCkTrailerMagic = 0x4144434B;  // "ADCK"
@@ -587,10 +586,9 @@ checkpoint read_checkpoint(parser& p) {
     m.rollback = rb != 0;
     out.meta = m;
     // Mandatory whole-file checksum trailer: CRC32C over every byte up to
-    // here. Shard checkpoints are the fleet's recovery substrate — bytes
-    // that rotted on disk (bit flips, torn writes the rename ordering
-    // cannot see) must fence as a typed error, never load as a slightly
-    // different detector.
+    // here. Bytes that rotted on disk (bit flips, torn writes the rename
+    // ordering cannot see) must fence as a typed error, never load as a
+    // slightly different detector.
     std::size_t prefix_len = 0;
     if (p.raw != nullptr) {
       const auto pos = p.is.tellg();

@@ -8,10 +8,9 @@
 // drift-controller state (sequential-detector cells, quarantine flags,
 // canary reservoirs) so a long-running deployment can checkpoint and
 // resume its feedback loop; format v5 appends a fleet section (view
-// epoch, shard identity, content version, rollback flag) so replicated
-// deployments can fence shipped checkpoints against stale or foreign
-// state. Files without fleet metadata are still written as v4, byte for
-// byte — v5 only exists when metadata is attached.
+// epoch, shard identity, content version, rollback flag) and a CRC32C
+// trailer over the whole file. Files without fleet metadata are still
+// written as v4, byte for byte — v5 only exists when metadata is attached.
 //
 // Every writer goes through advh::atomic_write_file (write-temp + fsync +
 // rename), so a process killed mid-checkpoint leaves either the previous
@@ -27,10 +26,10 @@
 
 namespace advh::core {
 
-/// Fleet provenance of a shipped checkpoint (ADET v5 fleet section).
-/// Receivers fence on every field: a checkpoint from the wrong shard, an
-/// earlier view epoch or a non-increasing content version must be
-/// rejected whole, never partially applied.
+/// Provenance of a shipped checkpoint (ADET v5 fleet section). The loader
+/// rejects inconsistent metadata (a shard index outside the shard count,
+/// a zero content version) as ADVH-E249; comparing epochs and versions
+/// against the receiver's own state is the receiver's job.
 struct checkpoint_meta {
   /// Membership-view epoch the writer held when it published.
   std::uint64_t epoch = 0;

@@ -193,160 +193,4 @@ double gmm1d::sample(rng& gen) const {
   return gen.normal(components_[c].mean, std::sqrt(components_[c].variance));
 }
 
-// ---------------------------------------------------------------------------
-// Diagonal multivariate mixture.
-
-gmm_diag gmm_diag::fit(std::span<const double> data, std::size_t dim,
-                       std::size_t k, const em_config& cfg) {
-  ADVH_CHECK(dim > 0 && data.size() % dim == 0);
-  const std::size_t n = data.size() / dim;
-  ADVH_CHECK_MSG(n >= k && k > 0, "need at least k observations");
-
-  // Per-dimension variance floors.
-  std::vector<double> dim_var(dim, 0.0);
-  for (std::size_t d = 0; d < dim; ++d) {
-    std::vector<double> col(n);
-    for (std::size_t i = 0; i < n; ++i) col[i] = data[i * dim + d];
-    dim_var[d] = std::max(stats::variance(col), 1e-12);
-  }
-
-  rng gen(cfg.seed);
-  auto km = kmeans(data, dim, k, gen);
-
-  gmm_diag model;
-  model.dim_ = dim;
-  model.components_.assign(k, component_diag{});
-  std::vector<std::size_t> counts(k, 0);
-  for (std::size_t i = 0; i < n; ++i) ++counts[km.assignment[i]];
-  for (std::size_t c = 0; c < k; ++c) {
-    model.components_[c].mean = km.centroids[c];
-    model.components_[c].weight = std::max(
-        static_cast<double>(counts[c]) / static_cast<double>(n), 1e-6);
-    model.components_[c].variance.assign(dim, 0.0);
-  }
-  for (std::size_t c = 0; c < k; ++c) {
-    for (std::size_t d = 0; d < dim; ++d) {
-      double var = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (km.assignment[i] == c) {
-          const double diff = data[i * dim + d] - model.components_[c].mean[d];
-          var += diff * diff;
-        }
-      }
-      model.components_[c].variance[d] = std::max(
-          counts[c] ? var / static_cast<double>(counts[c]) : dim_var[d],
-          cfg.variance_floor_ratio * dim_var[d]);
-    }
-  }
-  {
-    double wsum = 0.0;
-    for (auto& c : model.components_) wsum += c.weight;
-    for (auto& c : model.components_) c.weight /= wsum;
-  }
-
-  std::vector<double> resp(n * k);
-  std::vector<double> logp(k);
-  double prev_ll = -std::numeric_limits<double>::infinity();
-  for (std::size_t iter = 0; iter < cfg.max_iter; ++iter) {
-    double ll = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t c = 0; c < k; ++c) {
-        double lp = std::log(model.components_[c].weight);
-        for (std::size_t d = 0; d < dim; ++d) {
-          lp += log_normal_pdf(data[i * dim + d],
-                               model.components_[c].mean[d],
-                               model.components_[c].variance[d]);
-        }
-        logp[c] = lp;
-      }
-      const double lse = log_sum_exp(logp);
-      ll += lse;
-      for (std::size_t c = 0; c < k; ++c) {
-        resp[i * k + c] = std::exp(logp[c] - lse);
-      }
-    }
-
-    for (std::size_t c = 0; c < k; ++c) {
-      double nk = 0.0;
-      for (std::size_t i = 0; i < n; ++i) nk += resp[i * k + c];
-      nk = std::max(nk, 1e-10);
-      for (std::size_t d = 0; d < dim; ++d) {
-        double mu = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          mu += resp[i * k + c] * data[i * dim + d];
-        }
-        mu /= nk;
-        double var = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const double diff = data[i * dim + d] - mu;
-          var += resp[i * k + c] * diff * diff;
-        }
-        model.components_[c].mean[d] = mu;
-        model.components_[c].variance[d] =
-            std::max(var / nk, cfg.variance_floor_ratio * dim_var[d]);
-      }
-      model.components_[c].weight = nk / static_cast<double>(n);
-    }
-
-    if (std::isfinite(prev_ll) &&
-        std::fabs(ll - prev_ll) <= cfg.tolerance * (std::fabs(prev_ll) + 1.0)) {
-      break;
-    }
-    prev_ll = ll;
-  }
-  return model;
-}
-
-gmm_diag gmm_diag::fit_best_bic(std::span<const double> data, std::size_t dim,
-                                std::size_t k_max, const em_config& cfg) {
-  ADVH_CHECK(k_max > 0);
-  gmm_diag best;
-  double best_bic = std::numeric_limits<double>::infinity();
-  const std::size_t n = data.size() / std::max<std::size_t>(dim, 1);
-  for (std::size_t k = 1; k <= k_max; ++k) {
-    if (n < 2 * k) break;
-    gmm_diag candidate = fit(data, dim, k, cfg);
-    const double b = candidate.bic(data);
-    if (b < best_bic) {
-      best_bic = b;
-      best = std::move(candidate);
-    }
-  }
-  ADVH_CHECK_MSG(best.order() > 0, "BIC scan produced no model");
-  return best;
-}
-
-double gmm_diag::log_pdf(std::span<const double> x) const {
-  ADVH_CHECK_MSG(!components_.empty(), "model not fitted");
-  ADVH_CHECK(x.size() == dim_);
-  std::vector<double> logp(components_.size());
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    double lp = std::log(std::max(components_[c].weight, 1e-300));
-    for (std::size_t d = 0; d < dim_; ++d) {
-      lp += log_normal_pdf(x[d], components_[c].mean[d],
-                           components_[c].variance[d]);
-    }
-    logp[c] = lp;
-  }
-  return log_sum_exp(logp);
-}
-
-double gmm_diag::total_log_likelihood(std::span<const double> data) const {
-  ADVH_CHECK(data.size() % dim_ == 0);
-  const std::size_t n = data.size() / dim_;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += log_pdf(data.subspan(i * dim_, dim_));
-  }
-  return acc;
-}
-
-double gmm_diag::bic(std::span<const double> data) const {
-  const std::size_t n = data.size() / dim_;
-  const double params =
-      static_cast<double>(order() * (2 * dim_ + 1) - 1);
-  return params * std::log(static_cast<double>(n)) -
-         2.0 * total_log_likelihood(data);
-}
-
 }  // namespace advh::gmm

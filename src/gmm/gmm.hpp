@@ -2,8 +2,7 @@
 // (Algorithm 1 of the paper), with BIC model-order selection.
 //
 // AdvHunter fits one *univariate* GMM per (output category, HPC event);
-// gmm1d is that model. gmm_diag generalises to diagonal-covariance
-// multivariate data and backs the joint-events extension detector.
+// gmm1d is that model.
 #pragma once
 
 #include <span>
@@ -63,38 +62,6 @@ class gmm1d {
 
  private:
   std::vector<component1d> components_;
-};
-
-/// Diagonal-covariance multivariate mixture (extension detector).
-struct component_diag {
-  double weight = 0.0;
-  std::vector<double> mean;
-  std::vector<double> variance;
-};
-
-class gmm_diag {
- public:
-  gmm_diag() = default;
-
-  static gmm_diag fit(std::span<const double> data, std::size_t dim,
-                      std::size_t k, const em_config& cfg = {});
-  static gmm_diag fit_best_bic(std::span<const double> data, std::size_t dim,
-                               std::size_t k_max, const em_config& cfg = {});
-
-  std::size_t order() const noexcept { return components_.size(); }
-  std::size_t dim() const noexcept { return dim_; }
-  const std::vector<component_diag>& components() const noexcept {
-    return components_;
-  }
-
-  double log_pdf(std::span<const double> x) const;
-  double nll(std::span<const double> x) const { return -log_pdf(x); }
-  double total_log_likelihood(std::span<const double> data) const;
-  double bic(std::span<const double> data) const;
-
- private:
-  std::size_t dim_ = 0;
-  std::vector<component_diag> components_;
 };
 
 }  // namespace advh::gmm

@@ -59,12 +59,6 @@ struct request {
   /// Set when the tracker escalated the client: served at full fidelity
   /// (rung-0 repeats and events) regardless of the current ladder rung.
   bool escalated = false;
-  /// Set when the submitter asked for a degraded-confidence verdict — a
-  /// fleet secondary serving a speculative re-route of a crashed
-  /// primary's request. The flag rides through to the response so the
-  /// caller can tag the verdict; it does not change how the request is
-  /// measured or scored.
-  bool degraded_confidence = false;
   /// Absolute submission time (service clock).
   clock_duration submitted{0};
   /// Absolute deadline; no_deadline = none. Canary probes default to none.

@@ -253,7 +253,7 @@ detection_service::detection_service(const core::detector& det,
                                      hpc::hpc_monitor& monitor,
                                      const clock_face& clock,
                                      virtual_clock* vclock, serve_config cfg)
-    : det_(&det),
+    : det_(det),
       monitor_(monitor),
       clock_(clock),
       vclock_(vclock),
@@ -263,22 +263,22 @@ detection_service::detection_service(const core::detector& det,
       tracker_(cfg_.latency_alpha, cfg_.initial_unit_cost,
                cfg_.initial_fixed_cost),
       interactive_gap_(cfg_.latency_alpha) {
-  const std::size_t n_events = det_->config().events.size();
+  const std::size_t n_events = det_.config().events.size();
   cfg_.kept_events_when_shedding = std::clamp<std::size_t>(
       cfg_.kept_events_when_shedding, 1, std::max<std::size_t>(n_events, 1));
-  ladder_ = resolve_ladder(cfg_, det_->config().repeats);
+  ladder_ = resolve_ladder(cfg_, det_.config().repeats);
   stats_.served_by_rung.assign(ladder_.size(), 0);
 }
 
 clock_duration detection_service::estimate_for(const ladder_rung& rung) const {
   const std::size_t n_events = rung.shed_events
                                    ? cfg_.kept_events_when_shedding
-                                   : det_->config().events.size();
+                                   : det_.config().events.size();
   return tracker_.estimate(rung.repeats, n_events);
 }
 
 clock_duration detection_service::estimate_canary() const {
-  return tracker_.estimate(det_->config().repeats, det_->config().events.size());
+  return tracker_.estimate(det_.config().repeats, det_.config().events.size());
 }
 
 void detection_service::update_rung(double occupancy) {
@@ -301,27 +301,9 @@ void detection_service::attach_tracker(track::query_tracker& tracker) {
   qtracker_ = &tracker;
 }
 
-void detection_service::swap_detector(const core::detector& det) {
-  // Taking the service mutex first means any in-flight service round
-  // finishes scoring against the old detector before the swap; scheduler
-  // state (ladder, rung counters) then updates under the state mutex.
-  std::lock_guard<std::mutex> service_lock(service_mutex_);
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  checked_config(cfg_, det);  // same policy gate as construction
-  det_ = &det;
-  const std::size_t n_events = det.config().events.size();
-  cfg_.kept_events_when_shedding = std::clamp<std::size_t>(
-      cfg_.kept_events_when_shedding, 1, std::max<std::size_t>(n_events, 1));
-  ladder_ = resolve_ladder(cfg_, det.config().repeats);
-  if (stats_.served_by_rung.size() != ladder_.size()) {
-    stats_.served_by_rung.assign(ladder_.size(), 0);
-  }
-  rung_ = std::min(rung_, ladder_.size() - 1);
-}
-
 submit_result detection_service::submit(
     tensor input, priority prio, std::optional<clock_duration> deadline,
-    std::uint64_t client, bool degraded_confidence) {
+    std::uint64_t client) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   const auto now = clock_.now();
   submit_result res;
@@ -374,7 +356,6 @@ submit_result detection_service::submit(
   bool escalated = false;
   if (qtracker_ != nullptr && client != 0 && !canary) {
     const track::track_decision d = qtracker_->observe(client, input);
-    res.newly_banned = d.newly_banned;
     if (d.level == track::escalation::banned) {
       return reject(admit_status::rejected_banned);
     }
@@ -400,7 +381,6 @@ submit_result detection_service::submit(
   r.prio = prio;
   r.client = client;
   r.escalated = escalated;
-  r.degraded_confidence = degraded_confidence;
   r.submitted = now;
   if (deadline.has_value()) {
     r.deadline = *deadline == no_deadline ? no_deadline : now + *deadline;
@@ -492,10 +472,9 @@ response detection_service::serve_one(const planned& p,
   out.deadline = p.req.deadline;
   out.rung = p.rung;
   out.repeats_used = static_cast<std::uint32_t>(p.repeats);
-  out.events_shed = p.events < det_->config().events.size();
+  out.events_shed = p.events < det_.config().events.size();
   out.client = p.req.client;
   out.escalated = p.req.escalated;
-  out.degraded_confidence = p.req.degraded_confidence;
 
   if (p.shed) {
     out.outcome = response::kind::shed_deadline;
@@ -531,9 +510,9 @@ response detection_service::serve_one(const planned& p,
   // Expand a shed-events measurement back to the detector's configured
   // event order: unmeasured events score as unavailable, which routes the
   // verdict through the degraded/abstain fail-closed policy.
-  const std::size_t n_cfg = det_->config().events.size();
+  const std::size_t n_cfg = det_.config().events.size();
   if (p.events == n_cfg) {
-    out.v = det_->score(m->predicted, m->mean_counts, m->q.available);
+    out.v = det_.score(m->predicted, m->mean_counts, m->q.available);
   } else {
     std::vector<double> means(n_cfg, 0.0);
     std::vector<std::uint8_t> avail(n_cfg, 0);
@@ -541,7 +520,7 @@ response detection_service::serve_one(const planned& p,
       means[e] = m->mean_counts[e];
       avail[e] = m->q.available.empty() ? std::uint8_t{1} : m->q.available[e];
     }
-    out.v = det_->score(m->predicted, means, avail);
+    out.v = det_.score(m->predicted, means, avail);
   }
 
   out.outcome = response::kind::served;
@@ -553,7 +532,6 @@ response detection_service::serve_one(const planned& p,
   ++stats_.served_by_rung[p.rung];
   if (p.req.prio == priority::canary) ++stats_.canary_served;
   if (p.req.escalated) ++stats_.escalated_served;
-  if (p.req.degraded_confidence) ++stats_.served_degraded_confidence;
 
   // Feed the served measurement's HPC trace sketch back to the tracker:
   // near-identical consecutive computation signatures corroborate a
@@ -566,7 +544,7 @@ response detection_service::serve_one(const planned& p,
   if (out.v.adversarial_any) ++stats_.flagged_adversarial;
   if (out.v.degraded) ++stats_.degraded_verdicts;
   if (out.v.abstained) ++stats_.abstained_verdicts;
-  const std::size_t full = det_->config().repeats;
+  const std::size_t full = det_.config().repeats;
   stats_.repeats_shed += full > p.repeats ? full - p.repeats : 0;
   if (out.events_shed) ++stats_.events_shed_requests;
 
@@ -595,7 +573,7 @@ std::vector<response> detection_service::service_batch() {
                              static_cast<double>(queue_.capacity());
     update_rung(occupancy);
     const auto& rung = ladder_[rung_];
-    const std::size_t n_events = det_->config().events.size();
+    const std::size_t n_events = det_.config().events.size();
 
     clock_duration pending{0};
     for (std::size_t i = 0; i < cfg_.batch_size; ++i) {
@@ -609,7 +587,7 @@ std::vector<response> detection_service::service_batch() {
       // corroborating trace sketch needs full-fidelity evidence.
       const bool full_fidelity = canary || p.req.escalated;
       p.rung = full_fidelity ? 0 : rung_;
-      p.repeats = full_fidelity ? det_->config().repeats : rung.repeats;
+      p.repeats = full_fidelity ? det_.config().repeats : rung.repeats;
       p.events = (!full_fidelity && rung.shed_events)
                      ? cfg_.kept_events_when_shedding
                      : n_events;
@@ -631,7 +609,7 @@ std::vector<response> detection_service::service_batch() {
   // the rung's parameters. Group composition is a pure function of pop
   // order, so the backend's sample streams — and with them every
   // measurement — replay deterministically.
-  const auto& events = det_->config().events;
+  const auto& events = det_.config().events;
   const auto measure_group =
       [&](const std::vector<std::size_t>& idx, std::size_t repeats,
           std::size_t n_events, const hpc::measure_budget& budget)
@@ -661,7 +639,7 @@ std::vector<response> detection_service::service_batch() {
   hpc::measure_budget full_budget;
   full_budget.cancel = &drain_cancel_;
   std::optional<std::vector<hpc::measurement>> full_ms = measure_group(
-      full_idx, det_->config().repeats, events.size(), full_budget);
+      full_idx, det_.config().repeats, events.size(), full_budget);
 
   std::optional<std::vector<hpc::measurement>> traffic_ms;
   if (!traffic_idx.empty()) {
@@ -746,11 +724,6 @@ std::vector<response> detection_service::flush() {
                std::make_move_iterator(batch.end()));
   }
   return out;
-}
-
-void detection_service::note_integrity_suppression() {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  ++stats_.suppressed_integrity;
 }
 
 serve_stats detection_service::stats() const {

@@ -188,12 +188,6 @@ const char* to_string(admit_status s) noexcept;
 struct submit_result {
   std::uint64_t id = 0;
   admit_status status = admit_status::admitted;
-  /// True when this submission is the one that crossed the attached
-  /// tracker's ban threshold (the request itself is rejected_banned).
-  /// Surfaced so a replicated deployment can externalise the ban decision
-  /// — persist it and announce it fleet-wide — before any later query
-  /// observes its effect.
-  bool newly_banned = false;
   bool admitted() const noexcept { return status == admit_status::admitted; }
 };
 
@@ -219,9 +213,6 @@ struct response {
   std::uint64_t client = 0;
   /// Served at full fidelity because the tracker escalated the client.
   bool escalated = false;
-  /// The submitter asked for a degraded-confidence verdict (fleet
-  /// secondary serving a speculative re-route); echoed from the request.
-  bool degraded_confidence = false;
   /// Completed after its deadline — the failure mode admission control
   /// exists to prevent; the overload bench gates on zero of these.
   bool deadline_missed = false;
@@ -243,9 +234,6 @@ struct serve_stats {
   /// at full fidelity regardless of the current ladder rung).
   std::uint64_t escalated_admitted = 0;
   std::uint64_t escalated_served = 0;
-  /// Requests served under the degraded-confidence tag (fleet secondary
-  /// speculative serving).
-  std::uint64_t served_degraded_confidence = 0;
   std::uint64_t shed_deadline = 0;
   std::uint64_t failed_backend = 0;
   std::uint64_t deadline_misses = 0;
@@ -262,12 +250,6 @@ struct serve_stats {
   std::uint64_t repeats_shed = 0;
   std::uint64_t events_shed_requests = 0;
   std::uint64_t breaker_trips = 0;
-  /// Served verdicts the embedding layer retracted after the fact
-  /// because the detector state backing them failed integrity
-  /// verification (e.g. the fleet's corrupt-shard fence). Recorded via
-  /// note_integrity_suppression(); the verdict still counted as served
-  /// here — this tracks how many of those servings were unusable.
-  std::uint64_t suppressed_integrity = 0;
   std::vector<std::uint64_t> served_by_rung;
   std::size_t max_rung_engaged = 0;
 };
@@ -295,14 +277,9 @@ class detection_service {
   /// stream regardless of measurement thread count): banned clients are
   /// rejected up front with rejected_banned, elevated clients' requests
   /// are flagged for full-fidelity service.
-  ///
-  /// `degraded_confidence` tags the eventual verdict as degraded (fleet
-  /// secondary serving a speculative re-route of a silent primary); it
-  /// changes nothing about measurement or scoring.
   submit_result submit(tensor input, priority prio,
                        std::optional<clock_duration> deadline = std::nullopt,
-                       std::uint64_t client = 0,
-                       bool degraded_confidence = false);
+                       std::uint64_t client = 0);
 
   /// Attaches the stateful query tracker. Must be called before traffic
   /// is submitted; the tracker must outlive the service. The service
@@ -333,24 +310,12 @@ class detection_service {
   /// clean shutdown; requests past their deadline shed rather than serve).
   std::vector<response> flush();
 
-  /// Atomically replaces the detector the service scores with (fleet
-  /// checkpoint apply / recalibration rollout). The new detector is run
-  /// through the same policy-consistency gate as construction and must
-  /// outlive the service; the degradation ladder is re-derived from its
-  /// repeat count. Blocks until the in-flight service round (if any)
-  /// completes, so no round ever scores with a mix of old and new models.
-  void swap_detector(const core::detector& det);
-
-  /// Records that an embedding layer retracted one served verdict on
-  /// integrity grounds (see serve_stats::suppressed_integrity).
-  void note_integrity_suppression();
-
   serve_stats stats() const;
   std::size_t rung() const;
   std::size_t queue_depth() const { return queue_.depth(); }
   breaker_state breaker() const { return breaker_.state(); }
   const serve_config& config() const noexcept { return cfg_; }
-  const core::detector& detector_ref() const noexcept { return *det_; }
+  const core::detector& detector_ref() const noexcept { return det_; }
   const std::vector<ladder_rung>& ladder() const noexcept { return ladder_; }
 
  private:
@@ -373,7 +338,7 @@ class detection_service {
   response serve_one(const planned& p, const hpc::measurement* m,
                      bool backend_failed);
 
-  const core::detector* det_;  ///< swappable via swap_detector, never null
+  const core::detector& det_;
   hpc::hpc_monitor& monitor_;
   const clock_face& clock_;
   virtual_clock* vclock_;  ///< non-null in simulation mode

@@ -124,8 +124,7 @@ std::size_t fingerprint_table::trim_entry(shard& s, client_entry& e,
   return before - e.bytes;
 }
 
-void fingerprint_table::erase_entry(shard& s, std::uint64_t client,
-                                    bool count_eviction) {
+void fingerprint_table::erase_entry(shard& s, std::uint64_t client) {
   auto it = std::lower_bound(
       s.index.begin(), s.index.end(), client,
       [](const auto& p, std::uint64_t key) { return p.first < key; });
@@ -133,7 +132,7 @@ void fingerprint_table::erase_entry(shard& s, std::uint64_t client,
   const std::size_t pos = it->second;
   s.bytes -= s.entries[pos].bytes;
   s.index.erase(it);
-  if (count_eviction) ++s.evicted_clients;
+  ++s.evicted_clients;
   const std::size_t last = s.entries.size() - 1;
   if (pos != last) {
     s.entries[pos] = std::move(s.entries[last]);
@@ -213,56 +212,6 @@ std::size_t fingerprint_table::history_size(std::uint64_t client) const {
   std::lock_guard<std::mutex> lock(s.mutex);
   const client_entry* e = find(s, client);
   return e == nullptr ? 0 : e->history.size();
-}
-
-std::vector<client_record> fingerprint_table::extract_if(
-    std::size_t max_clients, const std::function<bool(std::uint64_t)>& pred) {
-  std::vector<client_record> out;
-  for (shard& s : shards_) {
-    if (out.size() >= max_clients) break;
-    std::lock_guard<std::mutex> lock(s.mutex);
-    std::vector<std::uint64_t> picked;
-    for (const auto& [client, pos] : s.index) {
-      if (out.size() + picked.size() >= max_clients) break;
-      if (pred(client)) picked.push_back(client);
-    }
-    for (const std::uint64_t c : picked) {
-      const client_entry* e = find(s, c);
-      client_record r;
-      r.client = e->client;
-      r.level = e->level;
-      r.hits = e->hits;
-      r.trace_hits = e->trace_hits;
-      r.queries = e->queries;
-      r.matched = e->matched;
-      r.decay_mark_ns = e->decay_mark_ns;
-      r.history.assign(e->history.begin(), e->history.end());
-      out.push_back(std::move(r));
-      erase_entry(s, c, /*count_eviction=*/false);
-    }
-  }
-  return out;
-}
-
-void fingerprint_table::restore(const client_record& rec) {
-  shard& s = shards_[shard_of(rec.client)];
-  std::lock_guard<std::mutex> lock(s.mutex);
-  client_entry& e = find_or_create(s, rec.client);
-  const std::size_t before = e.bytes;
-  e.level = std::max(e.level, rec.level);
-  e.hits = std::max(e.hits, rec.hits);
-  e.trace_hits = std::max(e.trace_hits, rec.trace_hits);
-  e.queries += rec.queries;
-  e.matched += rec.matched;
-  e.decay_mark_ns = std::max(e.decay_mark_ns, rec.decay_mark_ns);
-  if (e.level == escalation::banned) {
-    e.history.clear();  // banned entries stay history-free
-  } else if (rec.history.size() > e.history.size()) {
-    e.history.assign(rec.history.begin(), rec.history.end());
-    while (e.history.size() > cfg_.max_history) e.history.pop_front();
-  }
-  reaccount(s, e, before);
-  enforce_budget(s, rec.client);
 }
 
 std::size_t fingerprint_table::bytes_used() const {

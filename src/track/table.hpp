@@ -5,10 +5,10 @@
 // sketch, and its escalation state. It is built for million-user scale:
 //
 //   * consistent hashing across shards — clients map to shards through a
-//     ring of virtual nodes, so a future re-shard (fleet scale-out,
-//     ROADMAP item 3) moves only the ~1/N of clients whose ring arc
-//     changes owner instead of rehashing the world. Each shard has its own
-//     mutex; clients on different shards never contend.
+//     ring of virtual nodes, so a change of shard count moves only the
+//     ~1/N of clients whose ring arc changes owner instead of rehashing
+//     the world. Each shard has its own mutex; clients on different
+//     shards never contend.
 //   * a hard byte budget — partitioned evenly across shards so eviction is
 //     a shard-local decision (no cross-shard coordination, no global lock).
 //     The table NEVER exceeds the budget: every mutation re-accounts the
@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <type_traits>
 #include <vector>
@@ -102,23 +101,6 @@ struct table_stats {
   std::size_t byte_budget = 0;
 };
 
-/// Serialisable snapshot of one tracked client — the unit of
-/// fingerprint-range handoff between fleet replicas. Carries everything
-/// the escalation ladder needs to continue a campaign's history on a new
-/// owner; the HPC trace sketch is deliberately dropped (corroboration
-/// only, re-accumulates within a handful of served queries).
-struct client_record {
-  std::uint64_t client = 0;
-  escalation level = escalation::none;
-  double hits = 0.0;
-  double trace_hits = 0.0;
-  std::uint64_t queries = 0;
-  std::uint64_t matched = 0;
-  std::int64_t decay_mark_ns = 0;
-  /// Recent fingerprints, oldest first (empty for banned clients).
-  std::vector<fingerprint> history;
-};
-
 class fingerprint_table {
  public:
   explicit fingerprint_table(const table_config& cfg);
@@ -158,22 +140,6 @@ class fingerprint_table {
   /// replay bench's shard-occupancy report).
   std::size_t shard_of(std::uint64_t client) const noexcept;
 
-  /// Extracts — snapshots and removes — up to `max_clients` clients for
-  /// which `pred(client)` holds. Order is deterministic: shards in index
-  /// order, client ids ascending within a shard. Extraction is a handoff,
-  /// not an eviction: the eviction counters do not move, and escalated or
-  /// banned clients are extracted like any other (their state must travel
-  /// to the new owner).
-  std::vector<client_record> extract_if(
-      std::size_t max_clients, const std::function<bool(std::uint64_t)>& pred);
-
-  /// Merges one handed-off record into the table (creating the entry on
-  /// demand). Escalation level and match credit merge by max — state is
-  /// monotone across owners, so replayed or crossed handoffs can never
-  /// downgrade a ban — counters add, and the longer fingerprint history
-  /// wins. Banned entries stay history-free.
-  void restore(const client_record& rec);
-
   std::size_t bytes_used() const;
   table_stats stats() const;
   const table_config& config() const noexcept { return cfg_; }
@@ -201,8 +167,7 @@ class fingerprint_table {
   void enforce_budget(shard& s, std::uint64_t touched);
   /// Trims one client's history down to `floor`; returns bytes freed.
   std::size_t trim_entry(shard& s, client_entry& e, std::size_t floor);
-  void erase_entry(shard& s, std::uint64_t client,
-                   bool count_eviction = true);
+  void erase_entry(shard& s, std::uint64_t client);
 
   table_config cfg_;
   std::size_t shard_budget_ = 0;

@@ -137,7 +137,7 @@ bool query_tracker::record_trace(std::uint64_t client,
 
   // Update the global baseline first (every served query feeds it), then
   // measure this sketch's deviation from it. The baseline is the
-  // drift-canary cross-check: a fleet-wide baseline shift pulls the
+  // drift-canary cross-check: a machine-wide baseline shift pulls the
   // baseline along, so clients are only blamed for deviations specific to
   // them.
   double baseline_dev = 0.0;
@@ -188,15 +188,6 @@ bool query_tracker::record_trace(std::uint64_t client,
     if (d.newly_banned) ++bans_;
   }
   return corroborated;
-}
-
-void query_tracker::force_ban(std::uint64_t client) {
-  table_.with(client, [&](client_entry& e) {
-    e.level = escalation::banned;
-    e.history.clear();
-    e.history.shrink_to_fit();
-    e.last_sketch = hpc::trace_sketch{};
-  });
 }
 
 track_stats query_tracker::stats() const {

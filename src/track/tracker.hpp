@@ -24,7 +24,7 @@
 // side: near-identical HPC trace sketches (hpc/trace_sketch) from one
 // client corroborate a campaign, but only when the client's trace also
 // deviates from the *global* sketch baseline. That baseline check is the
-// drift-canary cross-check in miniature: when the whole fleet's baseline
+// drift-canary cross-check in miniature: when every client's baseline
 // moved (silicon drift, co-tenant change — PR 4's territory), every
 // client sits near the new baseline and nobody gets blamed for it. Bans
 // depend on input-side fingerprints alone, so they are bitwise stable
@@ -62,7 +62,7 @@ struct track_config {
   /// (quarter-octave levels) count as "same computation"...
   double trace_match_level = 1.0;
   /// ...but only when the sketch also sits further than this from the
-  /// global baseline (the drift-canary cross-check: fleet-wide shifts
+  /// global baseline (the drift-canary cross-check: machine-wide shifts
   /// exonerate individual clients).
   double trace_baseline_level = 2.0;
   /// Match credit one corroborating trace adds (kept below 1 so traces
@@ -116,27 +116,6 @@ class query_tracker {
   /// pipeline). May elevate a client (corroboration credit), never bans.
   /// Returns true when the sketch corroborated a campaign.
   bool record_trace(std::uint64_t client, const hpc::trace_sketch& s);
-
-  /// Fingerprint-range handoff (fleet rebalance): extracts up to
-  /// `max_clients` tracked clients matching `pred` — snapshot plus
-  /// removal, so in-flight handoff state lives in exactly one place: the
-  /// batch. Deterministic order; see fingerprint_table::extract_if.
-  std::vector<client_record> export_clients(
-      std::size_t max_clients, const std::function<bool(std::uint64_t)>& pred) {
-    return table_.extract_if(max_clients, pred);
-  }
-
-  /// Merges handed-off records into this tracker's table (monotone
-  /// escalation, max credit, add counters — see fingerprint_table::restore).
-  void import_clients(const std::vector<client_record>& recs) {
-    for (const client_record& r : recs) table_.restore(r);
-  }
-
-  /// Restores a durably recorded ban (fleet ban-ledger replay after a
-  /// crash or ownership change). Idempotent and monotone: an existing
-  /// entry is raised to banned, its history dropped; the ban counter does
-  /// not move — the decision was counted where it was first made.
-  void force_ban(std::uint64_t client);
 
   escalation level(std::uint64_t client) const { return table_.level(client); }
   std::size_t bytes_used() const { return table_.bytes_used(); }

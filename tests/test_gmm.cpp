@@ -189,64 +189,5 @@ TEST(Gmm1d, DeterministicForSameConfig) {
   }
 }
 
-TEST(GmmDiag, RecoversTwoClusters2d) {
-  rng gen(15);
-  std::vector<double> data;
-  for (int i = 0; i < 200; ++i) {
-    data.push_back(gen.normal(0.0, 0.5));
-    data.push_back(gen.normal(0.0, 0.5));
-  }
-  for (int i = 0; i < 200; ++i) {
-    data.push_back(gen.normal(5.0, 0.5));
-    data.push_back(gen.normal(-5.0, 0.5));
-  }
-  gmm_diag model = gmm_diag::fit(data, 2, 2);
-  ASSERT_EQ(model.order(), 2u);
-  auto comps = model.components();
-  std::sort(comps.begin(), comps.end(), [](const auto& a, const auto& b) {
-    return a.mean[0] < b.mean[0];
-  });
-  EXPECT_NEAR(comps[0].mean[0], 0.0, 0.3);
-  EXPECT_NEAR(comps[1].mean[0], 5.0, 0.3);
-  EXPECT_NEAR(comps[1].mean[1], -5.0, 0.3);
-}
-
-TEST(GmmDiag, NllOrdersInliersBeforeOutliers) {
-  rng gen(16);
-  std::vector<double> data;
-  for (int i = 0; i < 300; ++i) {
-    data.push_back(gen.normal(1.0, 0.5));
-    data.push_back(gen.normal(2.0, 0.5));
-    data.push_back(gen.normal(3.0, 0.5));
-  }
-  gmm_diag model = gmm_diag::fit(data, 3, 1);
-  const std::vector<double> inlier{1.0, 2.0, 3.0};
-  const std::vector<double> outlier{5.0, -2.0, 9.0};
-  EXPECT_LT(model.nll(inlier), model.nll(outlier));
-}
-
-TEST(GmmDiag, BicScanPicksTwo) {
-  rng gen(17);
-  std::vector<double> data;
-  for (int i = 0; i < 150; ++i) {
-    data.push_back(gen.normal(0.0, 0.4));
-    data.push_back(gen.normal(0.0, 0.4));
-  }
-  for (int i = 0; i < 150; ++i) {
-    data.push_back(gen.normal(8.0, 0.4));
-    data.push_back(gen.normal(8.0, 0.4));
-  }
-  gmm_diag model = gmm_diag::fit_best_bic(data, 2, 4);
-  EXPECT_EQ(model.order(), 2u);
-}
-
-TEST(GmmDiag, DimensionChecked) {
-  rng gen(18);
-  std::vector<double> data(20, 1.0);
-  gmm_diag model = gmm_diag::fit(data, 2, 1);
-  std::vector<double> wrong{1.0};
-  EXPECT_THROW(model.log_pdf(wrong), invariant_error);
-}
-
 }  // namespace
 }  // namespace advh::gmm

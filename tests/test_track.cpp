@@ -21,7 +21,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "core/pipeline.hpp"
-#include "fleet/config.hpp"
 #include "hpc/factory.hpp"
 #include "hpc/resilient_monitor.hpp"
 #include "hpc/sim_backend.hpp"
@@ -331,7 +330,7 @@ TEST(QueryTracker, TraceCorroborationNeedsBaselineDeviation) {
   cfg.trace_baseline_level = 2.0;
   query_tracker tracker(clock, cfg);
 
-  // Fleet baseline: many clients at level ~8.
+  // Population baseline: many clients at level ~8.
   hpc::trace_sketch normal;
   normal.levels = {8, 8};
   for (std::uint64_t c = 100; c < 110; ++c) {
@@ -524,12 +523,6 @@ TEST(EnvKnobSweep, EveryKnobRejectsGarbage) {
       {"ADVH_TRACK_SHARDS", [] { (void)track_config_from_env(); }},
       {"ADVH_TRACK_BYTES", [] { (void)track_config_from_env(); }},
       {"ADVH_BENCH_SCALE", [] { (void)bench::scale(); }},
-      {"ADVH_FLEET_REPLICAS", [] { (void)fleet::fleet_config_from_env(); }},
-      {"ADVH_FLEET_LOSS_RATE", [] { (void)fleet::fleet_config_from_env(); }},
-      {"ADVH_FLEET_CONTROLLERS",
-       [] { (void)fleet::fleet_config_from_env(); }},
-      {"ADVH_FLEET_REPLICATION",
-       [] { (void)fleet::fleet_config_from_env(); }},
   };
   const char* garbage[] = {"banana", "12banana", "", "-3", "1e999"};
   for (const knob& k : knobs) {
