@@ -4,8 +4,8 @@
 // *smallest* perturbation that still flips the model, since the HPC
 // disturbance grows with the activation disturbance. This wraps any
 // epsilon-parameterised attack in a bisection over epsilon and returns the
-// weakest successful adversarial example. bench_ext_adaptive evaluates
-// AdvHunter against it.
+// weakest successful adversarial example. No bench evaluates AdvHunter
+// against it yet; tests/test_extensions.cpp covers the search itself.
 #pragma once
 
 #include "attack/attack.hpp"
