@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 
-#include "analysis/abstract_trace.hpp"
 #include "hpc/events.hpp"
 
 namespace advh::analysis {
@@ -45,8 +44,12 @@ std::string fmt(double v) {
 
 uarch::static_envelope model_envelope(nn::model& m,
                                       const envelope_options& opts) {
-  return uarch::analyze_abstract_trace(abstract_inference_trace(m),
-                                       opts.cost_model);
+  const shape& chw = m.input_shape();
+  std::size_t predicted = 0;
+  const nn::inference_trace trace =
+      m.trace_inference(tensor::zeros(shape{1, chw[0], chw[1], chw[2]}),
+                        predicted);
+  return uarch::analyze_abstract_trace(trace, opts.cost_model);
 }
 
 void check_envelope(nn::model& m, const core::detector& det,

@@ -1,14 +1,16 @@
 // HPC envelope pass: abstract-interpretation cross-check of fitted
 // templates (advh_check codes 3xx).
 //
-// The abstract trace of the model (analysis/abstract_trace) fed through
-// the uarch static cost model (uarch/static_model) yields, per event, a
-// feasibility interval covering every count the simulator can produce for
-// *any* input of the configured shape. A fitted GMM component whose mass
-// (mean ± sigma_span standard deviations) lies entirely outside that
-// interval — widened by margins absorbing measurement noise — describes
-// behaviour the model cannot exhibit: a miscalibrated, drifted or
-// tampered template, caught offline with zero measurements.
+// The trace of one forward of a zero input, fed through the uarch static
+// cost model (uarch/static_model) with its active sets ignored, yields, per
+// event, a feasibility interval covering every count the simulator can
+// produce for *any* input of the configured shape: every field the static
+// model reads is fixed by the graph and the input shape. A fitted GMM
+// component whose mass (mean ± sigma_span standard deviations) lies
+// entirely outside that interval — widened by margins absorbing
+// measurement noise — describes behaviour the model cannot exhibit: a
+// miscalibrated, drifted or tampered template, caught offline with zero
+// measurements.
 #pragma once
 
 #include "analysis/check.hpp"

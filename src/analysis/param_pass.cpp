@@ -38,18 +38,18 @@ bool weight_like(const nn::parameter& p) {
 }  // namespace
 
 void run_param_pass(nn::model& m, const std::vector<walk_entry>& graph,
-                    verification_report& report) {
+                    check_report& report) {
   // Model-level aggregation: duplicates here mean a layer (or a composite
   // forwarding twice) registered the same parameter more than once.
   std::unordered_map<const nn::parameter*, std::size_t> registered;
   for (const nn::parameter* p : m.params()) ++registered[p];
   for (const auto& [p, count] : registered) {
     if (count > 1) {
-      report.add(severity::error, diag_code::duplicate_param, no_layer_index,
-                 p->name,
-                 "parameter registered " + std::to_string(count) +
-                     " times in model::params(); its gradient would be "
-                     "applied that many times per step");
+      add_graph_finding(report, severity::error, 112, "duplicate-param",
+                        no_layer_index, p->name,
+                        "parameter registered " + std::to_string(count) +
+                            " times in model::params(); its gradient would "
+                            "be applied that many times per step");
     }
   }
 
@@ -66,40 +66,41 @@ void run_param_pass(nn::model& m, const std::vector<walk_entry>& graph,
     const_cast<nn::layer*>(e.node)->collect_params(local);
 
     if (local.empty() && e.node->trace_info().records_active_inputs) {
-      report.add(severity::error, diag_code::unregistered_params, e.top_index,
-                 e.node->name(),
-                 "parametric layer (" + to_string(e.node->kind()) +
-                     ") exposes no parameters; it can never be trained or "
-                     "serialized");
+      add_graph_finding(report, severity::error, 113, "unregistered-params",
+                        e.top_index, e.node->name(),
+                        "parametric layer (" + to_string(e.node->kind()) +
+                            ") exposes no parameters; it can never be "
+                            "trained or serialized");
       continue;
     }
 
     for (const nn::parameter* p : local) {
       const std::size_t bad = non_finite_count(p->value);
       if (bad > 0) {
-        report.add(severity::error, diag_code::non_finite_param, e.top_index,
-                   e.node->name(),
-                   p->name + ": " + std::to_string(bad) + "/" +
-                       std::to_string(p->value.numel()) +
-                       " values are NaN/Inf");
+        add_graph_finding(report, severity::error, 110, "non-finite-param",
+                          e.top_index, e.node->name(),
+                          p->name + ": " + std::to_string(bad) + "/" +
+                              std::to_string(p->value.numel()) +
+                              " values are NaN/Inf");
       } else if (weight_like(*p) && p->value.numel() > 0 &&
                  all_zero(p->value)) {
-        report.add(severity::error, diag_code::uninitialized_param,
-                   e.top_index, e.node->name(),
-                   p->name + ": weight tensor is entirely zero "
-                   "(initialisation bypassed?)");
+        add_graph_finding(report, severity::error, 111, "uninitialized-param",
+                          e.top_index, e.node->name(),
+                          p->name + ": weight tensor is entirely zero "
+                                    "(initialisation bypassed?)");
       }
       if (registered.find(p) == registered.end()) {
-        report.add(severity::error, diag_code::param_invisible, e.top_index,
-                   e.node->name(),
-                   p->name + " is not reported by model::params(); a "
-                   "composite block fails to forward collect_params");
+        add_graph_finding(report, severity::error, 114, "param-invisible",
+                          e.top_index, e.node->name(),
+                          p->name + " is not reported by model::params(); "
+                                    "a composite block fails to forward "
+                                    "collect_params");
       }
       if (state_set.find(&p->value) == state_set.end()) {
-        report.add(severity::error, diag_code::param_not_serialized,
-                   e.top_index, e.node->name(),
-                   p->name + " is missing from collect_state(); model "
-                   "save/load would silently drop it");
+        add_graph_finding(report, severity::error, 115, "param-not-serialized",
+                          e.top_index, e.node->name(),
+                          p->name + " is missing from collect_state(); "
+                                    "model save/load would silently drop it");
       }
     }
   }

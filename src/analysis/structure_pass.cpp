@@ -18,15 +18,15 @@ namespace {
 /// re-rectifies an already non-negative tensor, contributing nothing but a
 /// duplicated trace entry.
 void scan_container(const nn::sequential& container, std::size_t top_index,
-                    bool container_is_root, verification_report& report) {
+                    bool container_is_root, check_report& report) {
   for (std::size_t i = 0; i + 1 < container.size(); ++i) {
     if (container.at(i).kind() == nn::layer_kind::relu &&
         container.at(i + 1).kind() == nn::layer_kind::relu) {
-      report.add(severity::warning, diag_code::dead_layer,
-                 container_is_root ? i + 1 : top_index,
-                 container.at(i + 1).name(),
-                 "ReLU directly after ReLU is a no-op that only duplicates "
-                 "trace entries");
+      add_graph_finding(report, severity::warning, 130, "dead-layer",
+                        container_is_root ? i + 1 : top_index,
+                        container.at(i + 1).name(),
+                        "ReLU directly after ReLU is a no-op that only "
+                        "duplicates trace entries");
     }
   }
 }
@@ -34,12 +34,12 @@ void scan_container(const nn::sequential& container, std::size_t top_index,
 }  // namespace
 
 void run_structure_pass(nn::model& m, const std::vector<walk_entry>& graph,
-                        verification_report& report) {
+                        check_report& report) {
   const nn::sequential& root = m.net();
 
   if (root.size() == 0) {
-    report.add(severity::error, diag_code::dead_layer, no_layer_index,
-               m.name(), "model graph is empty");
+    add_graph_finding(report, severity::error, 130, "dead-layer",
+                      no_layer_index, m.name(), "model graph is empty");
   }
   scan_container(root, 0, /*container_is_root=*/true, report);
 
@@ -48,10 +48,10 @@ void run_structure_pass(nn::model& m, const std::vector<walk_entry>& graph,
     // slot in the graph — a refactoring leftover.
     if (const auto* seq = dynamic_cast<const nn::sequential*>(e.node)) {
       if (seq->size() == 0) {
-        report.add(severity::error, diag_code::dead_layer, e.top_index,
-                   seq->name(),
-                   "sequential container holds no layers; it contributes "
-                   "no computation and emits no trace");
+        add_graph_finding(report, severity::error, 130, "dead-layer",
+                          e.top_index, seq->name(),
+                          "sequential container holds no layers; it "
+                          "contributes no computation and emits no trace");
       } else if (e.depth > 0) {
         scan_container(*seq, e.top_index, /*container_is_root=*/false,
                        report);
@@ -62,24 +62,25 @@ void run_structure_pass(nn::model& m, const std::vector<walk_entry>& graph,
       const float eps = bn->epsilon();
       const float mom = bn->momentum();
       if (!(std::isfinite(eps) && eps > 0.0f)) {
-        report.add(severity::error, diag_code::batchnorm_epsilon, e.top_index,
-                   bn->name(),
-                   "epsilon " + std::to_string(eps) +
-                       " must be a positive finite value; normalisation "
-                       "would divide by ~0 on a collapsed channel");
+        add_graph_finding(report, severity::error, 132, "batchnorm-epsilon",
+                          e.top_index, bn->name(),
+                          "epsilon " + std::to_string(eps) +
+                              " must be a positive finite value; "
+                              "normalisation would divide by ~0 on a "
+                              "collapsed channel");
       } else if (eps > 1e-2f) {
-        report.add(severity::warning, diag_code::batchnorm_epsilon,
-                   e.top_index, bn->name(),
-                   "epsilon " + std::to_string(eps) +
-                       " is large enough to visibly bias normalised "
-                       "activations (contract: 0 < eps <= 1e-2)");
+        add_graph_finding(report, severity::warning, 132, "batchnorm-epsilon",
+                          e.top_index, bn->name(),
+                          "epsilon " + std::to_string(eps) +
+                              " is large enough to visibly bias normalised "
+                              "activations (contract: 0 < eps <= 1e-2)");
       }
       if (!(std::isfinite(mom) && mom > 0.0f && mom < 1.0f)) {
-        report.add(severity::error, diag_code::batchnorm_momentum,
-                   e.top_index, bn->name(),
-                   "running-stat momentum " + std::to_string(mom) +
-                       " must lie in (0, 1); running statistics would "
-                       "never converge or never update");
+        add_graph_finding(report, severity::error, 133, "batchnorm-momentum",
+                          e.top_index, bn->name(),
+                          "running-stat momentum " + std::to_string(mom) +
+                              " must lie in (0, 1); running statistics "
+                              "would never converge or never update");
       }
     }
   }
@@ -91,10 +92,10 @@ void run_structure_pass(nn::model& m, const std::vector<walk_entry>& graph,
     shape cur{1, chw[0], chw[1], chw[2]};
     for (std::size_t i = 0; i < root.size(); ++i) {
       if (root.at(i).kind() == nn::layer_kind::flatten && cur.rank() == 2) {
-        report.add(severity::warning, diag_code::dead_layer, i,
-                   root.at(i).name(),
-                   "flatten of an already-flat (rank-2) tensor is an "
-                   "identity");
+        add_graph_finding(report, severity::warning, 130, "dead-layer", i,
+                          root.at(i).name(),
+                          "flatten of an already-flat (rank-2) tensor is "
+                          "an identity");
       }
       try {
         cur = root.at(i).infer_output_shape(cur);
@@ -107,15 +108,16 @@ void run_structure_pass(nn::model& m, const std::vector<walk_entry>& graph,
   if (root.size() > 0) {
     const nn::layer& last = root.at(root.size() - 1);
     if (last.kind() == nn::layer_kind::relu) {
-      report.add(severity::error, diag_code::trailing_activation,
-                 root.size() - 1, last.name(),
-                 "activation after the logit head clamps logit signs; "
-                 "predictions and trace statistics become degenerate");
+      add_graph_finding(report, severity::error, 131, "trailing-activation",
+                        root.size() - 1, last.name(),
+                        "activation after the logit head clamps logit "
+                        "signs; predictions and trace statistics become "
+                        "degenerate");
     } else if (last.kind() == nn::layer_kind::dropout) {
-      report.add(severity::warning, diag_code::trailing_activation,
-                 root.size() - 1, last.name(),
-                 "dropout after the logit head rescales logits in "
-                 "training mode for no benefit");
+      add_graph_finding(report, severity::warning, 131, "trailing-activation",
+                        root.size() - 1, last.name(),
+                        "dropout after the logit head rescales logits in "
+                        "training mode for no benefit");
     }
   }
 }

@@ -13,7 +13,7 @@
 namespace advh::analysis::detail {
 
 void run_trace_pass(const std::vector<walk_entry>& graph,
-                    verification_report& report) {
+                    check_report& report) {
   for (const walk_entry& e : graph) {
     const nn::trace_contract c = e.node->trace_info();
     // Pure containers aggregate their children's contracts; an empty
@@ -21,11 +21,11 @@ void run_trace_pass(const std::vector<walk_entry>& graph,
     // non-empty one inherits coverage from the children checked below.
     if (!e.leaf) continue;
     if (!c.emits_entry) {
-      report.add(severity::error, diag_code::missing_trace_contract,
-                 e.top_index, e.node->name(),
-                 "layer (" + to_string(e.node->kind()) +
-                     ") declares no trace contribution; its data flow "
-                     "would be invisible to the HPC simulator");
+      add_graph_finding(report, severity::error, 120, "missing-trace-contract",
+                        e.top_index, e.node->name(),
+                        "layer (" + to_string(e.node->kind()) +
+                            ") declares no trace contribution; its data "
+                            "flow would be invisible to the HPC simulator");
       continue;
     }
     switch (e.node->kind()) {
@@ -33,20 +33,22 @@ void run_trace_pass(const std::vector<walk_entry>& graph,
       case nn::layer_kind::depthwise_conv2d:
       case nn::layer_kind::linear:
         if (!c.records_active_inputs) {
-          report.add(severity::error, diag_code::incomplete_trace_contract,
-                     e.top_index, e.node->name(),
-                     "parametric layer does not record its active-input "
-                     "gather set; the weight-panel access pattern cannot "
-                     "be replayed");
+          add_graph_finding(report, severity::error, 121,
+                            "incomplete-trace-contract", e.top_index,
+                            e.node->name(),
+                            "parametric layer does not record its "
+                            "active-input gather set; the weight-panel "
+                            "access pattern cannot be replayed");
         }
         break;
       case nn::layer_kind::relu:
         if (!c.records_active_outputs) {
-          report.add(severity::error, diag_code::incomplete_trace_contract,
-                     e.top_index, e.node->name(),
-                     "activation layer does not record its firing set; "
-                     "activation sparsity — the detection signal itself — "
-                     "would be unobservable");
+          add_graph_finding(report, severity::error, 121,
+                            "incomplete-trace-contract", e.top_index,
+                            e.node->name(),
+                            "activation layer does not record its firing "
+                            "set; activation sparsity — the detection "
+                            "signal itself — would be unobservable");
         }
         break;
       default:

@@ -15,12 +15,12 @@
 //   4. structure  — dead/degenerate layers, activation after the logit
 //                   head, batch-norm epsilon/momentum range contracts.
 //
-// Choke points (nn::load_state, core::prepare_scenario) call
-// ensure_verified and refuse to proceed on errors; the advh_check tool
-// exposes the same report on the command line.
+// Findings carry the ADVH-x1xx codes of analysis/check. Choke points
+// (nn::load_state, core::prepare_scenario) call ensure_verified and refuse
+// to proceed on errors; the advh_check tool prints the same findings.
 #pragma once
 
-#include "analysis/diagnostics.hpp"
+#include "analysis/check.hpp"
 #include "nn/model.hpp"
 
 namespace advh::analysis {
@@ -32,13 +32,13 @@ struct verify_options {
   bool check_structure = true;
 };
 
-/// Runs all enabled passes and returns the combined report. Never throws
-/// on graph defects — they land in the report.
-verification_report verify_model(nn::model& m,
-                                 const verify_options& opts = {});
+/// Runs all enabled passes, appending their findings to `out`. Never
+/// throws on graph defects — they land in the report.
+void verify_model(nn::model& m, check_report& out,
+                  const verify_options& opts = {});
 
-/// Verifies and throws verification_error when the report carries errors.
-/// `context` names the caller in the log line (e.g. the state-file path).
+/// Verifies and throws check_error when the report carries errors.
+/// `context` names the caller in the message (e.g. the state-file path).
 void ensure_verified(nn::model& m, const std::string& context,
                      const verify_options& opts = {});
 

@@ -51,8 +51,4 @@ walk_result walk_graph_checked(const nn::sequential& root) {
   return st.out;
 }
 
-std::vector<walk_entry> walk_graph(const nn::sequential& root) {
-  return walk_graph_checked(root).entries;
-}
-
 }  // namespace advh::analysis

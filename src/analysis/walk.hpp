@@ -4,14 +4,14 @@
 // their direct sub-layers via layer::for_each_child; the walk linearises
 // the whole tree in execution order while remembering, for every node,
 // the index of the top-level layer that owns it — the coordinate the
-// verifier's diagnostics report.
+// verifier's findings report.
 //
 // A malformed for_each_child wiring (a layer reachable from itself, or
 // one layer object registered under two parents) would make the naive
 // recursion unbounded or double-count a layer's computation. The walk
 // therefore tracks visited nodes: an already-visited child is never
 // descended into again, and the defect is reported as a walk_anomaly
-// (verifier codes graph-cycle / layer-aliased).
+// (verifier codes ADVH-E140 graph-cycle / ADVH-E141 layer-aliased).
 #pragma once
 
 #include <cstddef>
@@ -55,8 +55,5 @@ struct walk_result {
 /// anomalies instead of recursing into them. The root container itself is
 /// not included.
 walk_result walk_graph_checked(const nn::sequential& root);
-
-/// Entries-only convenience wrapper (same bounded traversal).
-std::vector<walk_entry> walk_graph(const nn::sequential& root);
 
 }  // namespace advh::analysis

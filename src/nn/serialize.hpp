@@ -17,8 +17,8 @@ void save_state(model& m, const std::string& path);
 
 /// Loads state saved by save_state; tensor count and shapes must match.
 /// Unless `verify` is false, the loaded model is run through the static
-/// verifier (src/analysis) and analysis::verification_error is thrown when
-/// the graph or the loaded parameters fail it — a model whose data flow is
+/// verifier (src/analysis) and analysis::check_error is thrown when the
+/// graph or the loaded parameters fail it — a model whose data flow is
 /// broken must never feed the HPC templates.
 void load_state(model& m, const std::string& path, bool verify = true);
 

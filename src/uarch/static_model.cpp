@@ -36,17 +36,21 @@ struct accumulator {
 static_envelope analyze_abstract_trace(const nn::inference_trace& trace,
                                        const trace_gen_config& cfg) {
   accumulator a;
-  const std::size_t bpod = std::max<std::uint64_t>(cfg.branch_per_out_div, 1);
   const std::size_t code_lines_per_sweep = cfg.code_bytes_per_layer / kLine;
   bool write_to_second = true;  // mirrors trace_generator ping-pong state
 
   for (const nn::layer_trace_entry& e : trace.layers) {
     const std::size_t in_region = write_to_second ? 0 : 1;
     const std::size_t out_region = write_to_second ? 1 : 0;
-    // Back-edge stream: one chunk branch per 16 loop iterations.
-    const std::size_t chunks = e.in_numel / 16 + 1;
-    a.branches += chunks;
-    a.predicted_branches += chunks;
+    // The replay's own shape arithmetic: exact whatever the active sets,
+    // except the per-active instruction term (active count in [0, in_numel]).
+    const shape_work w = entry_shape_work(e, cfg);
+    a.insn_lo += w.instructions;
+    a.insn_hi += w.instructions + w.insn_per_active * e.in_numel;
+    a.branches += w.loop_chunks + w.extra_branches;
+    a.predicted_branches += w.loop_chunks;
+    a.fetches += w.code_sweeps * code_lines_per_sweep;
+    a.code_lines += code_lines_per_sweep;
 
     switch (e.kind) {
       case nn::layer_kind::conv2d:
@@ -63,9 +67,8 @@ static_envelope analyze_abstract_trace(const nn::inference_trace& trace,
         // unknown, abstracted to [0, in_numel]. Per active element: one
         // own-value load, panel_lines weight-panel loads, and a
         // load+store pair per fanout plane.
-        const std::uint64_t alpha_hi = e.in_numel;
-        a.loads_hi += alpha_hi * (1 + cfg.panel_lines + fanout);
-        a.stores_hi += alpha_hi * fanout;
+        a.loads_hi += e.in_numel * (1 + cfg.panel_lines + fanout);
+        a.stores_hi += e.in_numel * fanout;
 
         // Dense epilogue: unconditional store sweep of the output buffer.
         const std::size_t epilogue = lines_of(out_bytes);
@@ -73,18 +76,6 @@ static_envelope analyze_abstract_trace(const nn::inference_trace& trace,
         a.stores_hi += epilogue;
         a.act_lines[out_region] =
             std::max(a.act_lines[out_region], epilogue);
-
-        const std::uint64_t insn_fixed = cfg.insn_per_in * e.in_numel +
-                                         cfg.insn_per_out * e.out_numel +
-                                         cfg.insn_per_layer;
-        a.insn_lo += insn_fixed;
-        a.insn_hi += insn_fixed + cfg.insn_per_active * alpha_hi;
-        a.branches += (e.in_numel + e.out_numel) / bpod + 64;
-
-        const std::size_t sweeps =
-            1 + e.out_numel / std::max<std::size_t>(cfg.code_sweep_interval, 1);
-        a.fetches += sweeps * code_lines_per_sweep;
-        a.code_lines += code_lines_per_sweep;
         write_to_second = !write_to_second;
         break;
       }
@@ -98,12 +89,6 @@ static_envelope analyze_abstract_trace(const nn::inference_trace& trace,
         a.stores_hi += out_lines;
         a.act_lines[in_region] = std::max(
             a.act_lines[in_region], std::max(in_lines, out_lines));
-
-        a.insn_lo += 3 * e.in_numel + cfg.insn_per_layer / 4;
-        a.insn_hi += 3 * e.in_numel + cfg.insn_per_layer / 4;
-        a.branches += e.in_numel / bpod + 16;
-        a.fetches += code_lines_per_sweep;
-        a.code_lines += code_lines_per_sweep;
         break;  // in place: no buffer flip
       }
       default: {
@@ -116,14 +101,6 @@ static_envelope analyze_abstract_trace(const nn::inference_trace& trace,
         a.stores_hi += out_lines;
         a.act_lines[in_region] = std::max(a.act_lines[in_region], in_lines);
         a.act_lines[out_region] = std::max(a.act_lines[out_region], out_lines);
-
-        const std::uint64_t insn =
-            4 * e.in_numel + 2 * e.out_numel + cfg.insn_per_layer / 4;
-        a.insn_lo += insn;
-        a.insn_hi += insn;
-        a.branches += (e.in_numel + e.out_numel) / bpod + 16;
-        a.fetches += code_lines_per_sweep;
-        a.code_lines += code_lines_per_sweep;
         write_to_second = !write_to_second;
         break;
       }

@@ -8,9 +8,11 @@
 // [0, in_numel] and every derived count is tracked as [lo, hi].
 //
 // Soundness argument per counter (cold caches, default no prefetcher):
-//   instructions    exact linear form in the active counts — tight.
-//   branches        back-edge chunks + extra_branches are pure shape
-//                   arithmetic — a single point.
+//   instructions    entry_shape_work plus a linear term in the active
+//                   counts — a single point at the default
+//                   insn_per_active of 0.
+//   branches        entry_shape_work's back-edge chunks + extra_branches
+//                   are pure shape arithmetic — a single point.
 //   branch_misses   at most every predicted back-edge; at least none.
 //   cache_*         upper bound: every access misses at every level.
 //                   lower bound: compulsory misses of the access set that
@@ -60,11 +62,9 @@ struct static_envelope {
   count_interval llc_store_misses;
 };
 
-/// Abstractly interprets an inference trace whose entries carry geometry
-/// but whose active sets are unknown (entries produced by
-/// analysis::abstract_inference_trace, or concrete entries whose active
-/// sets are deliberately ignored). Mirrors trace_generator::run arithmetic
-/// exactly on the instruction/branch side and bounds the cache side.
+/// Abstractly interprets an inference trace, reading each entry's geometry
+/// and ignoring its active sets. The instruction and branch side is the
+/// replay's own entry_shape_work; the cache side is bounded.
 static_envelope analyze_abstract_trace(const nn::inference_trace& trace,
                                        const trace_gen_config& cfg = {});
 

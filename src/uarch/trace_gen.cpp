@@ -15,6 +15,40 @@ constexpr std::uint64_t kCodeRegion = 0x3000'0000;
 constexpr std::uint64_t kLine = 64;
 }  // namespace
 
+shape_work entry_shape_work(const nn::layer_trace_entry& e,
+                            const trace_gen_config& cfg) {
+  const std::uint64_t bpod = std::max<std::uint64_t>(cfg.branch_per_out_div, 1);
+  shape_work w;
+  // Vectorised kernels are branchless at element level; the only predicted
+  // branches are loop back-edges, one per unroll chunk of 16 elements.
+  w.loop_chunks = e.in_numel / 16 + 1;
+  w.code_sweeps = 1;
+  switch (e.kind) {
+    case nn::layer_kind::conv2d:
+    case nn::layer_kind::depthwise_conv2d:
+    case nn::layer_kind::linear:
+      // Dominated by the dense loop structure, with a small gather term.
+      w.instructions = cfg.insn_per_in * e.in_numel +
+                       cfg.insn_per_out * e.out_numel + cfg.insn_per_layer;
+      w.insn_per_active = cfg.insn_per_active;
+      w.extra_branches = (e.in_numel + e.out_numel) / bpod + 64;
+      // One loop-body refetch per code_sweep_interval output elements.
+      w.code_sweeps +=
+          e.out_numel / std::max<std::size_t>(cfg.code_sweep_interval, 1);
+      break;
+    case nn::layer_kind::relu:
+      w.instructions = 3 * e.in_numel + cfg.insn_per_layer / 4;
+      w.extra_branches = e.in_numel / bpod + 16;
+      break;
+    default:
+      w.instructions =
+          4 * e.in_numel + 2 * e.out_numel + cfg.insn_per_layer / 4;
+      w.extra_branches = (e.in_numel + e.out_numel) / bpod + 16;
+      break;
+  }
+  return w;
+}
+
 trace_generator::trace_generator(const trace_gen_config& cfg)
     : cfg_(cfg),
       mem_(cfg.caches),
@@ -46,12 +80,10 @@ void trace_generator::code_sweep(std::size_t layer_idx) {
 }
 
 void trace_generator::loop_branches(std::size_t layer_idx,
-                                    std::size_t iterations) {
-  // Vectorised kernels are branchless at element level; the only branches
-  // are loop back-edges (taken except on exit), which gshare learns almost
-  // perfectly. One back-edge per unroll chunk of 16 elements.
+                                    std::size_t chunks) {
+  // Back-edges are taken except on exit, which gshare learns almost
+  // perfectly.
   const std::uint64_t pc = code_base(layer_idx) + 0x8;
-  const std::size_t chunks = iterations / 16 + 1;
   for (std::size_t c = 0; c < chunks; ++c) {
     bp_.execute(pc, c + 1 != chunks);
   }
@@ -147,50 +179,25 @@ void trace_generator::replay_parametric(const nn::layer_trace_entry& e,
 
   // Dense epilogue: bias add + write-out of the full output buffer.
   sweep(out_base, out_bytes, access_type::store);
-
-  // Instruction-side activity: dominated by the dense loop structure
-  // (shape-dependent, input-independent), with a small gather term.
-  const std::size_t n_active = e.active_inputs.size();
-  instructions_ += cfg_.insn_per_in * e.in_numel +
-                   cfg_.insn_per_active * n_active +
-                   cfg_.insn_per_out * e.out_numel + cfg_.insn_per_layer;
-  extra_branches_ += (e.in_numel + e.out_numel) / cfg_.branch_per_out_div + 64;
-  loop_branches(layer_idx, e.in_numel);
-  const std::size_t sweeps =
-      1 + e.out_numel / std::max<std::size_t>(cfg_.code_sweep_interval, 1);
-  for (std::size_t s = 0; s < sweeps; ++s) code_sweep(layer_idx);
-
   write_to_second_ = !write_to_second_;
 }
 
-void trace_generator::replay_activation(const nn::layer_trace_entry& e,
-                                        std::size_t layer_idx) {
+void trace_generator::replay_activation(const nn::layer_trace_entry& e) {
   const std::uint64_t in_base = write_to_second_ ? kActRegionA : kActRegionB;
 
   // ReLU executes in place as a vectorised max — branchless, so the
   // activation mask never reaches the branch predictor.
   sweep(in_base, e.in_numel * sizeof(float), access_type::load);
   sweep(in_base, e.out_numel * sizeof(float), access_type::store);
-
-  instructions_ += 3 * e.in_numel + cfg_.insn_per_layer / 4;
-  extra_branches_ += e.in_numel / cfg_.branch_per_out_div + 16;
-  loop_branches(layer_idx, e.in_numel);
-  code_sweep(layer_idx);
   // In-place: no buffer flip.
 }
 
-void trace_generator::replay_structural(const nn::layer_trace_entry& e,
-                                        std::size_t layer_idx) {
+void trace_generator::replay_structural(const nn::layer_trace_entry& e) {
   const std::uint64_t in_base = write_to_second_ ? kActRegionA : kActRegionB;
   const std::uint64_t out_base = write_to_second_ ? kActRegionB : kActRegionA;
 
   sweep(in_base, e.in_numel * sizeof(float), access_type::load);
   sweep(out_base, e.out_numel * sizeof(float), access_type::store);
-
-  instructions_ += 4 * e.in_numel + 2 * e.out_numel + cfg_.insn_per_layer / 4;
-  extra_branches_ += (e.in_numel + e.out_numel) / cfg_.branch_per_out_div + 16;
-  loop_branches(layer_idx, e.in_numel);
-  code_sweep(layer_idx);
   write_to_second_ = !write_to_second_;
 }
 
@@ -222,12 +229,20 @@ uarch_counts trace_generator::run(const nn::inference_trace& trace) {
         replay_parametric(e, idx);
         break;
       case nn::layer_kind::relu:
-        replay_activation(e, idx);
+        replay_activation(e);
         break;
       default:
-        replay_structural(e, idx);
+        replay_structural(e);
         break;
     }
+    // Then the shape-only work: loop branches after the data accesses,
+    // code sweeps last.
+    const shape_work w = entry_shape_work(e, cfg_);
+    instructions_ +=
+        w.instructions + w.insn_per_active * e.active_inputs.size();
+    extra_branches_ += w.extra_branches;
+    loop_branches(idx, w.loop_chunks);
+    for (std::size_t s = 0; s < w.code_sweeps; ++s) code_sweep(idx);
   }
 
   uarch_counts c;

@@ -65,6 +65,27 @@ struct trace_gen_config {
   std::uint64_t branch_per_out_div = 8;
 };
 
+/// The part of one entry's replay fixed by its kind and sizes alone,
+/// whatever its active sets: the instruction and branch counts and the
+/// loop and code-sweep stream lengths. trace_generator::run replays these
+/// and uarch::analyze_abstract_trace bounds the events with them, so the
+/// two cannot disagree on the shape arithmetic.
+struct shape_work {
+  /// Instructions retired whatever the active sets.
+  std::uint64_t instructions = 0;
+  /// Further instructions per active input (parametric layers only).
+  std::uint64_t insn_per_active = 0;
+  /// Scalar branches that never reach the predictor.
+  std::uint64_t extra_branches = 0;
+  /// Loop back-edges replayed through gshare.
+  std::size_t loop_chunks = 0;
+  /// Passes over the layer's code footprint.
+  std::size_t code_sweeps = 0;
+};
+
+shape_work entry_shape_work(const nn::layer_trace_entry& e,
+                            const trace_gen_config& cfg);
+
 class trace_generator {
  public:
   explicit trace_generator(const trace_gen_config& cfg = {});
@@ -76,15 +97,16 @@ class trace_generator {
   const trace_gen_config& config() const noexcept { return cfg_; }
 
  private:
+  // Data accesses of one entry; run() adds its shape_work after them.
   void replay_parametric(const nn::layer_trace_entry& e, std::size_t layer_idx);
-  void replay_activation(const nn::layer_trace_entry& e, std::size_t layer_idx);
-  void replay_structural(const nn::layer_trace_entry& e, std::size_t layer_idx);
+  void replay_activation(const nn::layer_trace_entry& e);
+  void replay_structural(const nn::layer_trace_entry& e);
 
   /// Sequential line sweep over a buffer region.
   void sweep(std::uint64_t base, std::size_t bytes, access_type type);
   void code_sweep(std::size_t layer_idx);
   /// Loop back-edge branch stream (taken except on exit) through gshare.
-  void loop_branches(std::size_t layer_idx, std::size_t iterations);
+  void loop_branches(std::size_t layer_idx, std::size_t chunks);
 
   std::uint64_t weight_base(std::size_t layer_idx) const;
   std::uint64_t code_base(std::size_t layer_idx) const;

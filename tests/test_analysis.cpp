@@ -1,7 +1,7 @@
 // Tests for the model-graph static verifier (src/analysis): every
-// diagnostic class gets one deliberately-broken model that must trigger it
-// with the right layer attribution, and every factory model must verify
-// clean at its scenario-matched input shape.
+// ADVH-x1xx defect class gets one deliberately-broken model that must
+// trigger it with the right layer attribution, and every factory model
+// must verify clean at its scenario-matched input shape.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include <string>
 
 #include "analysis/verifier.hpp"
+#include "analysis/walk.hpp"
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -22,16 +23,23 @@
 #include "nn/simple_layers.hpp"
 
 using namespace advh;
-using analysis::diag_code;
 using analysis::severity;
 
 namespace {
 
-/// Finds the first diagnostic with `code`, or nullptr.
-const analysis::diagnostic* find_diag(const analysis::verification_report& r,
-                                      diag_code code) {
-  for (const auto& d : r.diags) {
-    if (d.code == code) return &d;
+analysis::check_report verify(nn::model& m,
+                              const analysis::verify_options& opts = {}) {
+  analysis::check_report report;
+  analysis::verify_model(m, report, opts);
+  return report;
+}
+
+/// Finds the first finding with code number `number` (either severity), or
+/// nullptr.
+const analysis::finding* find_code(const analysis::check_report& r,
+                                   int number) {
+  for (const auto& f : r.findings) {
+    if (f.code == analysis::make_code(f.sev, number)) return &f;
   }
   return nullptr;
 }
@@ -124,12 +132,16 @@ TEST(analysis, factory_models_verify_clean) {
   };
   for (const auto& z : zoo) {
     auto m = nn::make_model(z.arch, z.input, z.classes, 7);
-    const auto report = analysis::verify_model(*m);
+    const auto report = verify(*m);
     EXPECT_FALSE(report.has_errors())
         << nn::to_string(z.arch) << ":\n" << report.to_text();
     EXPECT_EQ(report.warning_count(), 0u)
         << nn::to_string(z.arch) << ":\n" << report.to_text();
-    EXPECT_GT(report.layers_checked, 0u);
+    std::size_t leaves = 0;
+    for (const auto& e : analysis::walk_graph_checked(m->net()).entries) {
+      leaves += e.leaf ? 1 : 0;
+    }
+    EXPECT_GT(leaves, 0u);
     EXPECT_NO_THROW(analysis::ensure_verified(*m, nn::to_string(z.arch)));
   }
 }
@@ -144,12 +156,11 @@ TEST(analysis, shape_mismatch_pins_offending_layer) {
   net->emplace<nn::relu>("relu1");
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
 
-  const auto report = analysis::verify_model(*m);
+  const auto report = verify(*m);
   ASSERT_TRUE(report.has_errors());
-  const auto* d = find_diag(report, diag_code::shape_mismatch);
+  const auto* d = find_code(report, 102);
   ASSERT_NE(d, nullptr) << report.to_text();
-  EXPECT_EQ(d->layer_index, 0u);
-  EXPECT_EQ(d->layer_path, "conv1");
+  EXPECT_EQ(d->where, "layer 0 (conv1)");
   EXPECT_NE(d->message.find("channel"), std::string::npos) << d->message;
 }
 
@@ -163,11 +174,10 @@ TEST(analysis, linear_fed_rank4_suggests_flatten) {
   net->emplace<nn::linear>("fc", std::size_t{256}, std::size_t{4}, gen);
 
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
-  const auto report = analysis::verify_model(*m);
-  const auto* d = find_diag(report, diag_code::shape_mismatch);
+  const auto report = verify(*m);
+  const auto* d = find_code(report, 102);
   ASSERT_NE(d, nullptr) << report.to_text();
-  EXPECT_EQ(d->layer_index, 1u);
-  EXPECT_EQ(d->layer_path, "fc");
+  EXPECT_EQ(d->where, "layer 1 (fc)");
   EXPECT_NE(d->message.find("flatten"), std::string::npos) << d->message;
 }
 
@@ -175,11 +185,10 @@ TEST(analysis, wrong_head_width_is_output_head_mismatch) {
   rng gen(1);
   auto m = wrap(small_net(gen, /*classes=*/7), shape{3, 8, 8},
                 /*model says*/ 4);
-  const auto report = analysis::verify_model(*m);
-  const auto* d = find_diag(report, diag_code::output_head_mismatch);
+  const auto report = verify(*m);
+  const auto* d = find_code(report, 103);
   ASSERT_NE(d, nullptr) << report.to_text();
-  EXPECT_EQ(d->layer_index, 4u);  // the fc layer, last in small_net
-  EXPECT_EQ(d->layer_path, "fc");
+  EXPECT_EQ(d->where, "layer 4 (fc)");  // the fc layer, last in small_net
 }
 
 TEST(analysis, no_shape_inference_layer_is_reported) {
@@ -187,11 +196,10 @@ TEST(analysis, no_shape_inference_layer_is_reported) {
   auto net = small_net(gen);
   net->emplace<opaque_layer>("mystery");
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
-  const auto report = analysis::verify_model(*m);
-  const auto* d = find_diag(report, diag_code::no_shape_inference);
+  const auto report = verify(*m);
+  const auto* d = find_code(report, 101);
   ASSERT_NE(d, nullptr) << report.to_text();
-  EXPECT_EQ(d->layer_index, 5u);
-  EXPECT_EQ(d->layer_path, "mystery");
+  EXPECT_EQ(d->where, "layer 5 (mystery)");
 }
 
 TEST(analysis, zeroed_weight_is_uninitialized_param) {
@@ -199,11 +207,10 @@ TEST(analysis, zeroed_weight_is_uninitialized_param) {
   auto net = small_net(gen);
   static_cast<nn::linear&>(net->at(4)).weight().value.fill(0.0f);
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
-  const auto report = analysis::verify_model(*m);
-  const auto* d = find_diag(report, diag_code::uninitialized_param);
+  const auto report = verify(*m);
+  const auto* d = find_code(report, 111);
   ASSERT_NE(d, nullptr) << report.to_text();
-  EXPECT_EQ(d->layer_index, 4u);
-  EXPECT_EQ(d->layer_path, "fc");
+  EXPECT_EQ(d->where, "layer 4 (fc)");
 }
 
 TEST(analysis, nan_weight_is_non_finite_param) {
@@ -212,11 +219,10 @@ TEST(analysis, nan_weight_is_non_finite_param) {
   auto& conv = static_cast<nn::conv2d&>(net->at(0));
   conv.weight().value.data()[3] = std::numeric_limits<float>::quiet_NaN();
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
-  const auto report = analysis::verify_model(*m);
-  const auto* d = find_diag(report, diag_code::non_finite_param);
+  const auto report = verify(*m);
+  const auto* d = find_code(report, 110);
   ASSERT_NE(d, nullptr) << report.to_text();
-  EXPECT_EQ(d->layer_index, 0u);
-  EXPECT_EQ(d->layer_path, "conv1");
+  EXPECT_EQ(d->where, "layer 0 (conv1)");
   EXPECT_NE(d->message.find("1/"), std::string::npos) << d->message;
 }
 
@@ -225,11 +231,10 @@ TEST(analysis, silent_layer_is_missing_trace_contract) {
   auto net = small_net(gen);
   net->emplace<silent_relu>("stealth");
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
-  const auto report = analysis::verify_model(*m);
-  const auto* d = find_diag(report, diag_code::missing_trace_contract);
+  const auto report = verify(*m);
+  const auto* d = find_code(report, 120);
   ASSERT_NE(d, nullptr) << report.to_text();
-  EXPECT_EQ(d->layer_index, 5u);
-  EXPECT_EQ(d->layer_path, "stealth");
+  EXPECT_EQ(d->where, "layer 5 (stealth)");
 }
 
 TEST(analysis, duplicate_registration_is_reported) {
@@ -237,10 +242,10 @@ TEST(analysis, duplicate_registration_is_reported) {
   auto net = small_net(gen);
   net->emplace<double_registering>("twice");
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
-  const auto report = analysis::verify_model(*m);
-  const auto* d = find_diag(report, diag_code::duplicate_param);
+  const auto report = verify(*m);
+  const auto* d = find_code(report, 112);
   ASSERT_NE(d, nullptr) << report.to_text();
-  EXPECT_NE(d->layer_path.find("twice"), std::string::npos);
+  EXPECT_NE(d->where.find("twice"), std::string::npos) << d->where;
   EXPECT_NE(d->message.find("2 times"), std::string::npos) << d->message;
 }
 
@@ -249,12 +254,11 @@ TEST(analysis, empty_nested_sequential_is_dead_layer) {
   auto net = small_net(gen);
   net->emplace<nn::sequential>("ghost_block");
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
-  const auto report = analysis::verify_model(*m);
-  const auto* d = find_diag(report, diag_code::dead_layer);
+  const auto report = verify(*m);
+  const auto* d = find_code(report, 130);
   ASSERT_NE(d, nullptr) << report.to_text();
   EXPECT_EQ(d->sev, severity::error);
-  EXPECT_EQ(d->layer_index, 5u);
-  EXPECT_EQ(d->layer_path, "ghost_block");
+  EXPECT_EQ(d->where, "layer 5 (ghost_block)");
 }
 
 TEST(analysis, relu_after_logits_is_trailing_activation) {
@@ -262,12 +266,11 @@ TEST(analysis, relu_after_logits_is_trailing_activation) {
   auto net = small_net(gen);
   net->emplace<nn::relu>("oops");
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
-  const auto report = analysis::verify_model(*m);
-  const auto* d = find_diag(report, diag_code::trailing_activation);
+  const auto report = verify(*m);
+  const auto* d = find_code(report, 131);
   ASSERT_NE(d, nullptr) << report.to_text();
   EXPECT_EQ(d->sev, severity::error);
-  EXPECT_EQ(d->layer_index, 5u);
-  EXPECT_EQ(d->layer_path, "oops");
+  EXPECT_EQ(d->where, "layer 5 (oops)");
 }
 
 TEST(analysis, double_relu_is_dead_layer_warning) {
@@ -283,13 +286,12 @@ TEST(analysis, double_relu_is_dead_layer_warning) {
   net->emplace<nn::linear>("fc", std::size_t{4 * 8 * 8}, std::size_t{4}, gen);
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
 
-  const auto report = analysis::verify_model(*m);
+  const auto report = verify(*m);
   EXPECT_FALSE(report.has_errors()) << report.to_text();
-  const auto* d = find_diag(report, diag_code::dead_layer);
+  const auto* d = find_code(report, 130);
   ASSERT_NE(d, nullptr) << report.to_text();
   EXPECT_EQ(d->sev, severity::warning);
-  EXPECT_EQ(d->layer_index, 2u);
-  EXPECT_EQ(d->layer_path, "relu1b");
+  EXPECT_EQ(d->where, "layer 2 (relu1b)");
 }
 
 TEST(analysis, batchnorm_hyperparameter_contracts) {
@@ -306,15 +308,14 @@ TEST(analysis, batchnorm_hyperparameter_contracts) {
   net->emplace<nn::linear>("fc", std::size_t{4 * 8 * 8}, std::size_t{4}, gen);
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
 
-  const auto report = analysis::verify_model(*m);
-  const auto* eps = find_diag(report, diag_code::batchnorm_epsilon);
+  const auto report = verify(*m);
+  const auto* eps = find_code(report, 132);
   ASSERT_NE(eps, nullptr) << report.to_text();
   EXPECT_EQ(eps->sev, severity::error);
-  EXPECT_EQ(eps->layer_index, 1u);
-  EXPECT_EQ(eps->layer_path, "bn_bad");
-  const auto* mom = find_diag(report, diag_code::batchnorm_momentum);
+  EXPECT_EQ(eps->where, "layer 1 (bn_bad)");
+  const auto* mom = find_code(report, 133);
   ASSERT_NE(mom, nullptr) << report.to_text();
-  EXPECT_EQ(mom->layer_index, 1u);
+  EXPECT_EQ(mom->where, "layer 1 (bn_bad)");
 }
 
 TEST(analysis, pass_toggles_limit_scope) {
@@ -328,9 +329,9 @@ TEST(analysis, pass_toggles_limit_scope) {
   only_params.check_shapes = false;
   only_params.check_trace = false;
   only_params.check_structure = false;
-  const auto report = analysis::verify_model(*m, only_params);
-  EXPECT_NE(find_diag(report, diag_code::uninitialized_param), nullptr);
-  EXPECT_EQ(find_diag(report, diag_code::trailing_activation), nullptr);
+  const auto report = verify(*m, only_params);
+  EXPECT_NE(find_code(report, 111), nullptr);
+  EXPECT_EQ(find_code(report, 131), nullptr);
 }
 
 TEST(analysis, ensure_verified_throws_with_report) {
@@ -340,10 +341,10 @@ TEST(analysis, ensure_verified_throws_with_report) {
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
   try {
     analysis::ensure_verified(*m, "unit-test");
-    FAIL() << "expected verification_error";
-  } catch (const analysis::verification_error& e) {
+    FAIL() << "expected check_error";
+  } catch (const analysis::check_error& e) {
     EXPECT_TRUE(e.report().has_errors());
-    EXPECT_NE(find_diag(e.report(), diag_code::trailing_activation), nullptr);
+    EXPECT_NE(find_code(e.report(), 131), nullptr);
     EXPECT_NE(std::string(e.what()).find("unit-test"), std::string::npos);
   }
 }
@@ -358,8 +359,7 @@ TEST(analysis, load_state_refuses_non_finite_weights) {
   }
   auto fresh = nn::make_model(nn::architecture::case_study_cnn,
                               shape{3, 32, 32}, 10, 4);
-  EXPECT_THROW(nn::load_state(*fresh, path),
-               analysis::verification_error);
+  EXPECT_THROW(nn::load_state(*fresh, path), analysis::check_error);
   // The escape hatch still loads the bytes.
   EXPECT_NO_THROW(nn::load_state(*fresh, path, /*verify=*/false));
   std::remove(path.c_str());
@@ -370,7 +370,7 @@ TEST(analysis, report_renders_text_and_json) {
   auto net = small_net(gen);
   net->emplace<nn::relu>("oops");
   auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
-  const auto report = analysis::verify_model(*m);
+  const auto report = verify(*m);
 
   const std::string text = report.to_text();
   EXPECT_NE(text.find("trailing-activation"), std::string::npos) << text;
@@ -379,7 +379,9 @@ TEST(analysis, report_renders_text_and_json) {
   const std::string json = report.to_json();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"code\":\"trailing-activation\""), std::string::npos)
+  EXPECT_NE(json.find("\"code\":\"ADVH-E131\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"message\":\"trailing-activation: "),
+            std::string::npos)
       << json;
   EXPECT_NE(json.find("\"errors\":1"), std::string::npos) << json;
 }

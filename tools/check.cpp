@@ -141,13 +141,13 @@ std::unique_ptr<nn::model> build_model(const std::string& target,
   if (opt.classes > 0) d.classes = opt.classes;
   auto m = nn::make_model(arch, d.input, d.classes, opt.seed);
   // The checker owns the verdict: load without the throw-on-error gate,
-  // the graph pass reports every diagnostic itself.
+  // the graph pass reports every finding itself.
   if (is_file) nn::load_state(*m, target, /*verify=*/false);
   return m;
 }
 
-/// Model-graph passes (1xx): structural/shape/param/trace diagnostics of
-/// the verifier, re-expressed as coded findings.
+/// Model-graph passes (1xx): the verifier's shape, parameter, trace and
+/// structure findings.
 void check_model_target(const std::string& target, const cli_options& opt,
                         analysis::check_report& rep) {
   rep.target = target;
@@ -157,7 +157,7 @@ void check_model_target(const std::string& target, const cli_options& opt,
     rep.add(analysis::severity::error, 2, "target", err);
     return;
   }
-  analysis::append_graph_findings(analysis::verify_model(*m), rep);
+  analysis::verify_model(*m, rep);
 }
 
 /// Detector-file passes: the 2xx linter, the 4xx detector-policy pass
