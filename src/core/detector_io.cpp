@@ -25,7 +25,11 @@ constexpr std::uint32_t kMagic = 0x41444554;  // "ADET"
 // still load (policies default to the fail-closed detector_config values;
 // drift state and fleet metadata default to absent; v4 and below carry no
 // trailer). Writers emit v4 unless fleet metadata is attached, so
-// meta-less saves stay byte-identical across revisions.
+// meta-less saves stay byte-identical across revisions. The trailer cannot
+// cover the version word that says it exists: a v5 file whose version
+// flipped to 4 parses as v4 with the fleet section and trailer left over,
+// so bytes after the last section are an error (E248), never padding to
+// skip — any newer revision already fails as E202.
 constexpr std::uint32_t kVersion = 4;
 constexpr std::uint32_t kVersionFleet = 5;
 constexpr std::uint32_t kCkTrailerMagic = 0x4144434B;  // "ADCK"
@@ -62,10 +66,9 @@ struct parser {
   std::istream& is;
   const std::string& path;
   analysis::check_report& rep;
-  // The complete file bytes when the caller parsed from a buffer — what
-  // the v5 checksum trailer is verified against. Null for callers that
-  // stream (no trailer verification possible, v4 and below only).
-  const std::string* raw = nullptr;
+  // The complete file bytes `is` reads — what the v5 checksum trailer is
+  // verified against.
+  const std::string& raw;
 
   [[noreturn]] void fail(int code, const std::string& where,
                          const std::string& msg) {
@@ -402,12 +405,12 @@ checkpoint read_checkpoint(parser& p) {
     p.fail(202, "file",
            "unsupported detector format version " + std::to_string(version));
   }
-  if (version >= 5 && p.raw != nullptr) {
+  if (version >= 5) {
     // Verify the whole-file checksum trailer BEFORE trusting any body
     // field: rotted bytes must fence as the checksum failure they are,
     // not as whatever structural error the rot happens to masquerade as
     // (or worse, a bogus length field driving a huge allocation).
-    const std::string& raw = *p.raw;
+    const std::string& raw = p.raw;
     std::uint32_t ck_magic = 0;
     std::uint32_t ck_crc = 0;
     if (raw.size() >= 8) {
@@ -589,33 +592,32 @@ checkpoint read_checkpoint(parser& p) {
     // here. Bytes that rotted on disk (bit flips, torn writes the rename
     // ordering cannot see) must fence as a typed error, never load as a
     // slightly different detector.
-    std::size_t prefix_len = 0;
-    if (p.raw != nullptr) {
-      const auto pos = p.is.tellg();
-      prefix_len = pos < 0 ? p.raw->size() : static_cast<std::size_t>(pos);
-    }
+    const auto pos = p.is.tellg();
+    const std::size_t prefix_len =
+        pos < 0 ? p.raw.size() : static_cast<std::size_t>(pos);
     const auto ck_magic = p.pod<std::uint32_t>("checksum trailer magic");
     const auto ck_crc = p.pod<std::uint32_t>("checksum trailer crc");
     if (ck_magic != kCkTrailerMagic) {
       p.fail(250, "checksum trailer",
              "missing or corrupt whole-file checksum trailer");
     }
-    if (p.raw != nullptr) {
-      const std::uint32_t got =
-          crc32c(std::string_view(*p.raw).substr(0, prefix_len));
-      if (got != ck_crc) {
-        p.fail(250, "checksum trailer",
-               "whole-file checksum mismatch: stored " +
-                   std::to_string(ck_crc) + ", computed " +
-                   std::to_string(got) +
-                   " — the bytes changed after they were written");
-      }
+    const std::uint32_t got =
+        crc32c(std::string_view(p.raw).substr(0, prefix_len));
+    if (got != ck_crc) {
+      p.fail(250, "checksum trailer",
+             "whole-file checksum mismatch: stored " + std::to_string(ck_crc) +
+                 ", computed " + std::to_string(got) +
+                 " — the bytes changed after they were written");
     }
   }
+  // A newer format revision fails as E202 above, so bytes past the last
+  // section are damage: a v5 file whose version word lost a bit reads as
+  // v4 up to here, with its fleet section and trailer left over.
   if (p.is.peek() != std::char_traits<char>::eof()) {
-    p.rep.add(severity::warning, 248, "file",
-              "trailing bytes after the last section: written by a newer "
-              "format revision or padded by a foreign tool");
+    p.fail(248, "file",
+           "trailing bytes after the last section: the file is damaged "
+           "(a v5 file with a flipped version bit reads as v4) or was "
+           "padded by a foreign tool");
   }
   return out;
 }
@@ -659,7 +661,7 @@ checkpoint load_checkpoint(const std::string& path) {
   std::istringstream is(bytes, std::ios::binary);
   analysis::check_report rep;
   rep.target = path;
-  parser p{is, path, rep, &bytes};
+  parser p{is, path, rep, bytes};
   checkpoint out = read_checkpoint(p);
   if (rep.has_errors()) {
     // Semantic defects accumulated without aborting the parse: the file
@@ -687,7 +689,7 @@ std::optional<checkpoint> lint_checkpoint_file(
     return std::nullopt;
   }
   std::istringstream is(bytes, std::ios::binary);
-  parser p{is, path, report, &bytes};
+  parser p{is, path, report, bytes};
   std::optional<checkpoint> out;
   try {
     out.emplace(read_checkpoint(p));

@@ -11,6 +11,8 @@
 // epoch, shard identity, content version, rollback flag) and a CRC32C
 // trailer over the whole file. Files without fleet metadata are still
 // written as v4, byte for byte — v5 only exists when metadata is attached.
+// Every version ends at its last section: trailing bytes fail the load
+// (ADVH-E248), which also fences a v5 file whose version word reads 4.
 //
 // Every writer goes through advh::atomic_write_file (write-temp + fsync +
 // rename), so a process killed mid-checkpoint leaves either the previous

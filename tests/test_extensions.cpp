@@ -513,6 +513,26 @@ TEST(Checkpoint, BitFlippedShardChecksumIsTypedFencingError) {
   }
 }
 
+TEST(Checkpoint, VersionWordBitFlipNeverLoads) {
+  // The CRC32C trailer cannot cover the word that says it exists. Every
+  // single-bit flip of the version word, in a v4 and in a v5 file, must
+  // still fail the load: 5 -> 4 leaves the fleet section and trailer as
+  // bytes after the last v4 section.
+  for (const auto& meta :
+       {std::optional<core::checkpoint_meta>{}, std::optional(shard_meta())}) {
+    const std::string bytes = fitted_detector_bytes(meta);
+    for (int bit = 0; bit < 32; ++bit) {
+      std::string flipped = bytes;
+      std::uint32_t version = 0;
+      std::memcpy(&version, flipped.data() + 4, sizeof(version));
+      version ^= 1u << bit;
+      std::memcpy(flipped.data() + 4, &version, sizeof(version));
+      EXPECT_THROW(load_checkpoint_bytes(flipped), io_error)
+          << (meta ? "v5" : "v4") << " version bit " << bit;
+    }
+  }
+}
+
 TEST(Integrity, ShardDigestIsThreadInvariant) {
   core::benign_template tpl(3, 2);
   rng gen(52);
