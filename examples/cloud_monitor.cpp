@@ -108,15 +108,12 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "2024", "stream RNG seed");
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
-  cli.add_flag("no-verify", "false",
-               "skip static model verification (escape hatch)");
   if (!cli.parse(argc, argv)) return 0;
 
   install_signal_handlers();
 
-  auto rt = core::prepare_scenario(
-      data::scenario_from_string(cli.get("scenario")), "advh_models", 1234,
-      !cli.get_bool("no-verify"));
+  auto rt =
+      core::prepare_scenario(data::scenario_from_string(cli.get("scenario")));
   const auto threads =
       static_cast<std::size_t>(std::max(0, cli.get_int("threads")));
 

@@ -32,14 +32,11 @@ int main(int argc, char** argv) {
   cli.add_flag("backend", "sim", "HPC backend: sim, perf or auto");
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
-  cli.add_flag("no-verify", "false",
-               "skip static model verification (escape hatch)");
   if (!cli.parse(argc, argv)) return 0;
 
   // 1. Scenario: dataset + trained model (Table 1 row).
   const auto scenario_id = data::scenario_from_string(cli.get("scenario"));
-  core::scenario_runtime rt = core::prepare_scenario(
-      scenario_id, "advh_models", 1234, !cli.get_bool("no-verify"));
+  core::scenario_runtime rt = core::prepare_scenario(scenario_id);
   std::cout << "scenario " << rt.spec.label << ": " << rt.train.name << " + "
             << to_string(rt.spec.arch) << ", clean accuracy "
             << text_table::num(100.0 * rt.clean_accuracy, 2) << "%\n";

@@ -70,15 +70,12 @@ int main(int argc, char** argv) {
   cli.add_flag("canary-every", "25", "traffic arrivals per canary probe");
   cli.add_flag("seed", "2024", "stream RNG seed");
   cli.add_flag("threads", "1", "measurement worker threads");
-  cli.add_flag("no-verify", "false",
-               "skip static model verification (escape hatch)");
   if (!cli.parse(argc, argv)) return 0;
 
   install_signal_handlers();
 
-  auto rt = core::prepare_scenario(
-      data::scenario_from_string(cli.get("scenario")), "advh_models", 1234,
-      !cli.get_bool("no-verify"));
+  auto rt =
+      core::prepare_scenario(data::scenario_from_string(cli.get("scenario")));
   const auto threads =
       static_cast<std::size_t>(std::max(1, cli.get_int("threads")));
 

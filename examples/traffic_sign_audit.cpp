@@ -25,12 +25,9 @@ int main(int argc, char** argv) {
   cli.add_flag("epsilon", "0.3", "PGD attack strength");
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
-  cli.add_flag("no-verify", "false",
-               "skip static model verification (escape hatch)");
   if (!cli.parse(argc, argv)) return 0;
 
-  auto rt = core::prepare_scenario(data::scenario_id::s3, "advh_models", 1234,
-                                   !cli.get_bool("no-verify"));
+  auto rt = core::prepare_scenario(data::scenario_id::s3);
   std::cout << "S3: " << rt.train.name << " ("
             << rt.train.num_classes << " classes), clean accuracy "
             << text_table::num(100.0 * rt.clean_accuracy, 2) << "%\n";

@@ -24,7 +24,7 @@ std::string cache_path(const std::string& cache_dir,
 
 scenario_runtime prepare_scenario(data::scenario_id id,
                                   const std::string& cache_dir,
-                                  std::uint64_t seed, bool verify) {
+                                  std::uint64_t seed) {
   scenario_runtime rt;
   rt.spec = data::get_scenario(id);
 
@@ -41,12 +41,12 @@ scenario_runtime prepare_scenario(data::scenario_id id,
   // Gate the run on the static verifier *before* training: a broken graph
   // fails in seconds here instead of after minutes of training (and the
   // load path re-verifies the deserialized parameters).
-  if (verify) analysis::ensure_verified(*rt.net, rt.spec.label);
+  analysis::ensure_verified(*rt.net, rt.spec.label);
 
   const std::string path = cache_path(cache_dir, rt.spec);
   if (nn::is_state_file(path)) {
     log::info(rt.spec.label, ": loading cached model from ", path);
-    nn::load_state(*rt.net, path, verify);
+    nn::load_state(*rt.net, path);
   } else {
     log::info(rt.spec.label, ": training ", to_string(rt.spec.arch), " (",
               rt.train.size(), " examples, ", rt.spec.train_epochs,

@@ -28,12 +28,10 @@ struct scenario_runtime {
 /// cached state file from `cache_dir` when one exists). Deterministic in
 /// the scenario spec and `seed`. Before the runtime is handed out, the
 /// model passes the static verifier (src/analysis) and
-/// analysis::verification_error is raised on a broken graph; `verify`
-/// false (the tools' --no-verify escape hatch) skips that gate.
+/// analysis::check_error is raised on a broken graph.
 scenario_runtime prepare_scenario(data::scenario_id id,
                                   const std::string& cache_dir = "advh_models",
-                                  std::uint64_t seed = 1234,
-                                  bool verify = true);
+                                  std::uint64_t seed = 1234);
 
 /// Draws up to `per_class` validation examples of every class from `d`
 /// (in dataset order after a seeded shuffle) and measures them into a
