@@ -1,6 +1,5 @@
 #include "bench/bench_common.hpp"
 
-#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
@@ -9,25 +8,17 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "nn/trainer.hpp"
 
 namespace advh::bench {
 
 double scale() {
   if (const char* env = std::getenv("ADVH_BENCH_SCALE")) {
-    // Strict parse, matching every other ADVH_* knob (PR 4 convention):
-    // the old atof() silently read "0.5x" as 0.5 and "fast" as "unset" —
-    // a typo in a CI matrix must fail the job, not quietly change (or
+    // A typo in a CI matrix must fail the job, not quietly change (or
     // keep) the workload size.
-    errno = 0;
-    char* end = nullptr;
-    const double s = std::strtod(env, &end);
-    if (end == env || *end != '\0' || errno == ERANGE || !(s > 0.0) ||
-        s > 1e6) {
-      throw std::invalid_argument(std::string("ADVH_BENCH_SCALE=\"") + env +
-                                  "\": expected a number in (0, 1e6]");
-    }
-    return s;
+    return parse_number("ADVH_BENCH_SCALE", env,
+                        {.lo = 0, .hi = 1e6, .lo_open = true});
   }
   return 1.0;
 }
@@ -44,8 +35,9 @@ std::optional<std::size_t> parse_threads(int argc, const char* const* argv,
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
   if (!cli.parse(argc, argv)) return std::nullopt;
-  const int n = cli.get_int("threads");
-  return static_cast<std::size_t>(n < 0 ? 0 : n);
+  return static_cast<std::size_t>(
+      parse_number("--threads", cli.get("threads"),
+                   {.lo = 0, .hi = parallel::max_threads, .integer = true}));
 }
 
 core::scenario_runtime prepare(data::scenario_id id) {

@@ -63,8 +63,10 @@ int main(int argc, char** argv) {
     std::stringstream ss(cli.get("threads-list"));
     std::string tok;
     while (std::getline(ss, tok, ',')) {
-      const int v = std::atoi(tok.c_str());
-      if (v > 0) thread_counts.push_back(static_cast<std::size_t>(v));
+      const double v = parse_number(
+          "--threads-list", tok,
+          {.lo = 1, .hi = parallel::max_threads, .integer = true});
+      thread_counts.push_back(static_cast<std::size_t>(v));
     }
   }
   if (thread_counts.empty()) thread_counts = {1};

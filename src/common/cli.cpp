@@ -1,12 +1,38 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/error.hpp"
 
 namespace advh {
+
+double parse_number(const std::string& what, const std::string& text,
+                    const number_rule& rule) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  const bool above_lo = rule.lo_open ? v > rule.lo : v >= rule.lo;
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v) || !above_lo || v > rule.hi ||
+      (rule.integer && v != std::floor(v))) {
+    std::ostringstream msg;
+    msg.precision(15);  // integer bounds print exactly
+    msg << what << "=\"" << text << "\": expected "
+        << (rule.integer ? "an integer" : "a number");
+    if (std::isfinite(rule.lo) || std::isfinite(rule.hi)) {
+      msg << " in " << (rule.lo_open ? '(' : '[') << rule.lo << ", "
+          << rule.hi << ']';
+    }
+    throw std::invalid_argument(msg.str());
+  }
+  return v;
+}
 
 cli_parser::cli_parser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -55,11 +81,13 @@ std::string cli_parser::get(const std::string& name) const {
 }
 
 int cli_parser::get_int(const std::string& name) const {
-  return std::stoi(get(name));
+  return static_cast<int>(parse_number(
+      "--" + name, get(name),
+      {.lo = INT_MIN, .hi = INT_MAX, .integer = true}));
 }
 
 double cli_parser::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  return parse_number("--" + name, get(name));
 }
 
 bool cli_parser::get_bool(const std::string& name) const {

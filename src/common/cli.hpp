@@ -1,16 +1,37 @@
-// Minimal command-line flag parsing for example/bench binaries.
+// Minimal command-line flag parsing for example/bench binaries, and the
+// one strict parser for every number that comes from outside the program
+// (flag values and the ADVH_* environment knobs).
 //
 // Supports `--flag value`, `--flag=value`, and boolean `--flag` forms.
 // Unknown flags raise an error listing the registered ones, so example
 // binaries self-document.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace advh {
+
+/// What parse_number accepts: a value in [lo, hi] — (lo, hi] when lo_open
+/// is set — that is a whole number when integer is set.
+struct number_rule {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool integer = false;
+};
+
+/// Parses `text` strictly: the whole string must read as one finite
+/// number meeting `rule` — no empty string, no trailing garbage ("4x",
+/// "8MiB"), no overflow. Anything else throws std::invalid_argument
+/// naming `what` (the knob or flag) and the accepted range, so a typo in
+/// a deployment manifest or a command line fails loudly instead of
+/// silently running a different configuration.
+double parse_number(const std::string& what, const std::string& text,
+                    const number_rule& rule = {});
 
 class cli_parser {
  public:
@@ -25,6 +46,7 @@ class cli_parser {
   bool parse(int argc, const char* const* argv);
 
   std::string get(const std::string& name) const;
+  /// The flag's value through parse_number: an int, or a finite double.
   int get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;

@@ -1,25 +1,15 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <condition_variable>
-#include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 
 namespace advh::parallel {
-
-namespace {
-// Sanity ceiling for the ADVH_THREADS override: far above any real
-// machine, low enough to catch unit-confused values (e.g. a millicore
-// count pasted from a container spec).
-constexpr long kMaxThreadsEnv = 4096;
-}  // namespace
 
 std::size_t hardware_threads() noexcept {
   const unsigned n = std::thread::hardware_concurrency();
@@ -29,151 +19,47 @@ std::size_t hardware_threads() noexcept {
 std::size_t default_threads() {
   const char* env = std::getenv("ADVH_THREADS");
   if (env == nullptr) return hardware_threads();
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
   // A set-but-broken override fails loudly: silently dropping to the
   // hardware default would hide deployment-manifest typos.
-  if (end == env || *end != '\0' || errno == ERANGE || v < 0 ||
-      v > kMaxThreadsEnv) {
-    throw std::invalid_argument(
-        std::string("ADVH_THREADS=\"") + env +
-        "\": expected an integer in [0, " + std::to_string(kMaxThreadsEnv) +
-        "] (0 = all cores)");
-  }
-  return v == 0 ? hardware_threads() : static_cast<std::size_t>(v);
+  const auto v = static_cast<std::size_t>(parse_number(
+      "ADVH_THREADS", env, {.lo = 0, .hi = max_threads, .integer = true}));
+  return v == 0 ? hardware_threads() : v;
 }
 
 std::size_t resolve_threads(std::size_t requested) {
   return requested == 0 ? default_threads() : requested;
 }
 
-struct thread_pool::impl {
-  std::mutex mu;
-  std::condition_variable work_cv;
-  std::condition_variable done_cv;
-  // Dispatch state for the current run_chunks call.
-  std::uint64_t generation = 0;
-  std::size_t n = 0;
-  const std::function<void(std::size_t, std::size_t, std::size_t)>* fn =
-      nullptr;
-  std::size_t pending = 0;
-  std::exception_ptr first_error;
-  bool shutdown = false;
-  std::vector<std::thread> threads;
-
-  static void chunk_bounds(std::size_t n, std::size_t workers, std::size_t w,
-                           std::size_t& begin, std::size_t& end) noexcept {
-    begin = w * n / workers;
-    end = (w + 1) * n / workers;
-  }
-
-  void run_one(std::size_t worker, std::size_t workers,
-               const std::function<void(std::size_t, std::size_t,
-                                        std::size_t)>& f,
-               std::size_t total) {
-    std::size_t begin = 0, end = 0;
-    chunk_bounds(total, workers, worker, begin, end);
-    if (begin < end) f(begin, end, worker);
-  }
-
-  void worker_loop(std::size_t worker, std::size_t workers) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(std::size_t, std::size_t, std::size_t)>* f =
-          nullptr;
-      std::size_t total = 0;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        work_cv.wait(lock,
-                     [&] { return shutdown || generation != seen; });
-        if (shutdown) return;
-        seen = generation;
-        f = fn;
-        total = n;
-      }
-      std::exception_ptr err;
-      try {
-        run_one(worker, workers, *f, total);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (err && !first_error) first_error = err;
-        if (--pending == 0) done_cv.notify_all();
-      }
-    }
-  }
-};
-
-thread_pool::thread_pool(std::size_t workers)
-    : impl_(new impl), workers_(workers == 0 ? 1 : workers) {
-  impl_->threads.reserve(workers_ - 1);
-  for (std::size_t w = 1; w < workers_; ++w) {
-    impl_->threads.emplace_back(
-        [this, w] { impl_->worker_loop(w, workers_); });
-  }
-}
-
-thread_pool::~thread_pool() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->shutdown = true;
-  }
-  impl_->work_cv.notify_all();
-  for (auto& t : impl_->threads) t.join();
-  delete impl_;
-}
-
-void thread_pool::run_chunks(
-    std::size_t n, const std::function<void(std::size_t, std::size_t,
-                                            std::size_t)>& fn) {
-  ADVH_CHECK_MSG(fn != nullptr, "thread_pool::run_chunks needs a callable");
-  if (n == 0) return;
-  if (workers_ == 1) {
-    impl_->run_one(0, 1, fn, n);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->n = n;
-    impl_->fn = &fn;
-    impl_->pending = workers_ - 1;
-    impl_->first_error = nullptr;
-    ++impl_->generation;
-  }
-  impl_->work_cv.notify_all();
-
-  // The calling thread is worker 0; its exception still lets the other
-  // workers drain before rethrowing.
-  std::exception_ptr caller_error;
-  try {
-    impl_->run_one(0, workers_, fn, n);
-  } catch (...) {
-    caller_error = std::current_exception();
-  }
-
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  impl_->done_cv.wait(lock, [&] { return impl_->pending == 0; });
-  impl_->fn = nullptr;
-  std::exception_ptr err = caller_error ? caller_error : impl_->first_error;
-  lock.unlock();
-  if (err) std::rethrow_exception(err);
-}
-
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t, std::size_t)>& fn) {
   ADVH_CHECK_MSG(fn != nullptr, "parallel_for needs a callable");
-  const std::size_t workers = resolve_threads(threads);
-  if (workers <= 1 || n < 2) {
+  const std::size_t workers = std::min(resolve_threads(threads), n);
+  if (workers < 2) {
     for (std::size_t i = 0; i < n; ++i) fn(i, 0);
     return;
   }
-  thread_pool pool(std::min(workers, n));
-  pool.run_chunks(n, [&](std::size_t begin, std::size_t end, std::size_t w) {
-    for (std::size_t i = begin; i < end; ++i) fn(i, w);
-  });
+  std::vector<std::exception_ptr> errors(workers);
+  const auto run_chunk = [&](std::size_t w) {
+    try {
+      const std::size_t end = (w + 1) * n / workers;
+      for (std::size_t i = w * n / workers; i < end; ++i) fn(i, w);
+    } catch (...) {
+      errors[w] = std::current_exception();
+    }
+  };
+  {
+    // jthread joins on destruction, so a failed spawn still joins the
+    // workers already started before the exception leaves this scope.
+    std::vector<std::jthread> spawned;
+    spawned.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) {
+      spawned.emplace_back(run_chunk, w);
+    }
+    run_chunk(0);
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace advh::parallel

@@ -15,6 +15,11 @@
 
 namespace advh::parallel {
 
+/// Ceiling on any requested worker count (ADVH_THREADS or a --threads
+/// flag): far above any real machine, low enough to catch unit-confused
+/// values (e.g. a millicore count pasted from a container spec).
+inline constexpr std::size_t max_threads = 4096;
+
 /// std::thread::hardware_concurrency with a floor of 1.
 std::size_t hardware_threads() noexcept;
 
@@ -31,37 +36,15 @@ std::size_t default_threads();
 /// else is taken literally.
 std::size_t resolve_threads(std::size_t requested);
 
-/// A fixed-size fork/join worker pool. Workers are spawned once and reused
-/// across run_chunks calls; there is no task queue and no stealing — every
-/// dispatch hands each worker one statically computed chunk.
-class thread_pool {
- public:
-  /// Spawns `workers - 1` threads (the caller's thread acts as worker 0).
-  /// `workers` is clamped to at least 1.
-  explicit thread_pool(std::size_t workers);
-  thread_pool(const thread_pool&) = delete;
-  thread_pool& operator=(const thread_pool&) = delete;
-  ~thread_pool();
-
-  std::size_t size() const noexcept { return workers_; }
-
-  /// Invokes fn(begin, end, worker) once per worker, where [begin, end) is
-  /// worker w's contiguous slice of [0, n): [w*n/W, (w+1)*n/W). Blocks
-  /// until every worker finishes; the first exception thrown by any worker
-  /// is rethrown on the calling thread after the join.
-  void run_chunks(std::size_t n,
-                  const std::function<void(std::size_t begin, std::size_t end,
-                                           std::size_t worker)>& fn);
-
- private:
-  struct impl;
-  impl* impl_;
-  std::size_t workers_;
-};
-
-/// One-shot chunked loop: fn(index, worker) for every index in [0, n),
-/// partitioned across resolve_threads(threads) workers. Serial (worker 0,
-/// no pool) when the resolved count is 1 or n < 2.
+/// Fork/join chunked loop: fn(index, worker) for every index in [0, n).
+/// With W = min(resolve_threads(threads), n) workers, worker w runs the
+/// contiguous chunk [w*n/W, (w+1)*n/W): the caller's thread is worker 0,
+/// W - 1 threads are started for the rest and joined before returning.
+/// There is no task queue and no stealing. Serial (worker 0 on the
+/// caller, no thread started) when W < 2. A worker whose fn throws
+/// abandons the rest of its chunk while the others finish theirs; after
+/// the join the lowest-numbered failing worker's exception is rethrown,
+/// so which error surfaces never depends on timing.
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t index,
                                            std::size_t worker)>& fn);

@@ -35,10 +35,6 @@ double stddev(std::span<const double> xs) noexcept {
   return std::sqrt(variance(xs));
 }
 
-double sample_stddev(std::span<const double> xs) noexcept {
-  return std::sqrt(sample_variance(xs));
-}
-
 double min(std::span<const double> xs) {
   ADVH_CHECK(!xs.empty());
   return *std::min_element(xs.begin(), xs.end());

@@ -20,9 +20,6 @@ double sample_variance(std::span<const double> xs) noexcept;
 /// Population standard deviation.
 double stddev(std::span<const double> xs) noexcept;
 
-/// Sample standard deviation.
-double sample_stddev(std::span<const double> xs) noexcept;
-
 /// Minimum value; requires a non-empty span.
 double min(std::span<const double> xs);
 

@@ -44,29 +44,6 @@ std::vector<std::size_t> benign_template::underfilled_classes() const {
   return out;
 }
 
-template_builder::template_builder(hpc::hpc_monitor& monitor,
-                                   detector_config cfg,
-                                   std::size_t num_classes)
-    : monitor_(monitor),
-      cfg_(std::move(cfg)),
-      tpl_(num_classes, cfg_.events.size()) {
-  ADVH_CHECK_MSG(!cfg_.events.empty(), "detector needs at least one event");
-}
-
-bool template_builder::add_sample(const tensor& x, std::size_t label) {
-  ADVH_CHECK(label < tpl_.num_classes());
-  const auto m = monitor_.measure(x, cfg_.events, cfg_.repeats);
-  if (m.predicted != label) return false;
-  tpl_.add_row(label, m.mean_counts);
-  return true;
-}
-
-std::size_t template_builder::accepted(std::size_t cls) const {
-  return tpl_.rows(cls);
-}
-
-benign_template template_builder::build() const { return tpl_; }
-
 detector detector::fit(const benign_template& tpl, const detector_config& cfg,
                        std::size_t threads) {
   ADVH_CHECK_MSG(cfg.events.size() == tpl.num_events(),

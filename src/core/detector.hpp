@@ -73,31 +73,6 @@ class benign_template {
   std::vector<std::vector<std::vector<double>>> data_;
 };
 
-/// Gathers the benign template by measuring clean validation inputs
-/// through a monitor. Inputs whose hard-label prediction disagrees with
-/// their validation label are discarded (a misclassified "clean" image is
-/// not representative of its category's computational behaviour).
-class template_builder {
- public:
-  template_builder(hpc::hpc_monitor& monitor, detector_config cfg,
-                   std::size_t num_classes);
-
-  /// Measures one clean validation image with known label; returns true if
-  /// the sample was accepted into the template.
-  bool add_sample(const tensor& x, std::size_t label);
-
-  /// Number of accepted samples for a class so far.
-  std::size_t accepted(std::size_t cls) const;
-
-  benign_template build() const;
-  const detector_config& config() const noexcept { return cfg_; }
-
- private:
-  hpc::hpc_monitor& monitor_;
-  detector_config cfg_;
-  benign_template tpl_;
-};
-
 /// Per-(class, event) anomaly model: fitted GMM + threshold.
 struct event_model {
   gmm::gmm1d model;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -588,27 +587,14 @@ checkpoint read_checkpoint(parser& p) {
     }
     m.rollback = rb != 0;
     out.meta = m;
-    // Mandatory whole-file checksum trailer: CRC32C over every byte up to
-    // here. Bytes that rotted on disk (bit flips, torn writes the rename
-    // ordering cannot see) must fence as a typed error, never load as a
-    // slightly different detector.
-    const auto pos = p.is.tellg();
-    const std::size_t prefix_len =
-        pos < 0 ? p.raw.size() : static_cast<std::size_t>(pos);
-    const auto ck_magic = p.pod<std::uint32_t>("checksum trailer magic");
-    const auto ck_crc = p.pod<std::uint32_t>("checksum trailer crc");
-    if (ck_magic != kCkTrailerMagic) {
+    // The whole-file CRC32C was verified up front; here the parse must
+    // land exactly on the trailer, and the end-of-file check below makes
+    // sure nothing follows it.
+    if (p.pod<std::uint32_t>("checksum trailer magic") != kCkTrailerMagic) {
       p.fail(250, "checksum trailer",
              "missing or corrupt whole-file checksum trailer");
     }
-    const std::uint32_t got =
-        crc32c(std::string_view(p.raw).substr(0, prefix_len));
-    if (got != ck_crc) {
-      p.fail(250, "checksum trailer",
-             "whole-file checksum mismatch: stored " + std::to_string(ck_crc) +
-                 ", computed " + std::to_string(got) +
-                 " — the bytes changed after they were written");
-    }
+    (void)p.pod<std::uint32_t>("checksum trailer crc");
   }
   // A newer format revision fails as E202 above, so bytes past the last
   // section are damage: a v5 file whose version word lost a bit reads as
@@ -652,11 +638,9 @@ void save_checkpoint(const drift_controller& ctl, const std::string& path,
 }
 
 checkpoint load_checkpoint(const std::string& path) {
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe.good()) throw io_error("cannot open " + path);
-  probe.close();
-  // Buffer the whole file so the v5 checksum trailer can be verified
-  // against the exact bytes on disk before any field is trusted.
+  // Buffer the whole file (read_file_bytes throws io_error when it cannot
+  // be opened) so the v5 checksum trailer can be verified against the
+  // exact bytes on disk before any field is trusted.
   const std::string bytes = read_file_bytes(path);
   std::istringstream is(bytes, std::ios::binary);
   analysis::check_report rep;

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "hpc/trace_sketch.hpp"
 #include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
 
@@ -152,60 +151,6 @@ void evaluate_inputs(drift_controller& ctl, hpc::hpc_monitor& monitor,
     if (v.abstained) ++eval.abstained;
     if (ctl.state().quarantined_verdicts != before) ++eval.quarantined;
   }
-}
-
-tracked_eval evaluate_tagged(const detector& det, hpc::hpc_monitor& monitor,
-                             track::query_tracker& tracker,
-                             std::span<const tagged_query> queries,
-                             std::size_t threads) {
-  tracked_eval out;
-  const auto& cfg = det.config();
-  out.eval.per_event.assign(cfg.events.size(), detection_confusion{});
-
-  // Phase 1: walk the stream in order, feeding every identified query to
-  // the tracker. A query observed while its client is banned is dropped
-  // here — it never reaches the measurement path, which is the stateful
-  // defense's point: a banned campaign stops costing PMU time.
-  std::vector<std::size_t> measured;
-  measured.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const tagged_query& q = queries[i];
-    if (q.client == 0) {
-      measured.push_back(i);
-      continue;
-    }
-    const track::track_decision d = tracker.observe(q.client, q.input);
-    if (d.level == track::escalation::banned) {
-      ++out.banned_skipped;
-      continue;
-    }
-    if (d.level == track::escalation::elevated) ++out.escalated;
-    measured.push_back(i);
-  }
-
-  // Phase 2: batch-measure the survivors (bitwise thread-invariant),
-  // score them, and feed each trace sketch back in stream order.
-  std::vector<tensor> inputs;
-  inputs.reserve(measured.size());
-  for (std::size_t i : measured) inputs.push_back(queries[i].input);
-  const auto ms =
-      monitor.measure_batch(inputs, cfg.events, cfg.repeats, threads);
-  for (std::size_t k = 0; k < ms.size(); ++k) {
-    const tagged_query& q = queries[measured[k]];
-    const auto& m = ms[k];
-    const verdict v = det.score(m.predicted, m.mean_counts, m.q.available);
-    for (std::size_t e = 0; e < v.flagged.size(); ++e) {
-      out.eval.per_event[e].push(q.is_adversarial, v.flagged[e]);
-    }
-    out.eval.fused.push(q.is_adversarial, v.adversarial_any);
-    if (!v.modeled) ++out.eval.unmodeled;
-    if (v.degraded) ++out.eval.degraded;
-    if (v.abstained) ++out.eval.abstained;
-    if (q.client != 0) {
-      tracker.record_trace(q.client, hpc::sketch_measurement(m));
-    }
-  }
-  return out;
 }
 
 canary_set pick_canaries(nn::model& net, const data::dataset& d,

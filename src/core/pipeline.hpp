@@ -11,7 +11,6 @@
 #include "core/metrics.hpp"
 #include "data/scenarios.hpp"
 #include "hpc/monitor.hpp"
-#include "track/tracker.hpp"
 
 namespace advh::core {
 
@@ -80,37 +79,6 @@ void evaluate_inputs(const detector& det, hpc::hpc_monitor& monitor,
 void evaluate_inputs(drift_controller& ctl, hpc::hpc_monitor& monitor,
                      std::span<const tensor> inputs, bool is_adversarial,
                      detection_eval& eval, std::size_t threads = 0);
-
-/// One query of an identified client stream (stateful-defense evaluation).
-struct tagged_query {
-  std::uint64_t client = 0;  ///< 0 = anonymous (tracker is bypassed)
-  tensor input;              ///< batch-of-one tensor
-  bool is_adversarial = false;
-};
-
-/// evaluate_tagged outcome: the per-verdict confusion statistics plus the
-/// stateful-defense counters for the replayed stream.
-struct tracked_eval {
-  detection_eval eval;
-  /// Queries short-circuited because their client was already banned —
-  /// never measured, never scored (the stateful defense's whole point:
-  /// a banned campaign stops costing PMU time).
-  std::size_t banned_skipped = 0;
-  /// Queries observed while their client was elevated (not yet banned).
-  std::size_t escalated = 0;
-};
-
-/// Replays an identified query stream through the stateful defense and
-/// the detector. Phase 1 walks `queries` in order, feeding each
-/// (client, input) to the tracker — escalation/ban decisions are a pure
-/// function of the stream. Phase 2 batch-measures the queries that were
-/// not banned at observation time (bitwise thread-invariant), scores them
-/// against `det`, and feeds each measurement's trace sketch back to the
-/// tracker in stream order. Deterministic at any `threads` value.
-tracked_eval evaluate_tagged(const detector& det, hpc::hpc_monitor& monitor,
-                             track::query_tracker& tracker,
-                             std::span<const tagged_query> queries,
-                             std::size_t threads = 0);
 
 /// A pinned set of known-benign calibration inputs with their
 /// ground-truth labels, re-measured periodically as drift canaries.

@@ -1,41 +1,20 @@
 #include "hpc/factory.hpp"
 
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
-#include <stdexcept>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "hpc/perf_backend.hpp"
 
 namespace advh::hpc {
 
-namespace {
-
-/// Strict environment-rate parsing shared by the chaos knobs: the whole
-/// string must be a finite number in [0, max_value]. A set-but-broken
-/// knob throws instead of silently disabling the chaos it was meant to
-/// inject.
-double env_rate(const char* name, const char* value, double max_value) {
-  errno = 0;
-  char* end = nullptr;
-  const double rate = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(rate) || rate < 0.0 || rate > max_value) {
-    throw std::invalid_argument(std::string(name) + "=\"" + value +
-                                "\": expected a number in [0, " +
-                                std::to_string(max_value) + "]");
-  }
-  return rate;
-}
-
-}  // namespace
-
 std::optional<fault_config> fault_config_from_env() {
   const char* env = std::getenv("ADVH_FAULT_RATE");
   if (env == nullptr) return std::nullopt;
-  const double rate = env_rate("ADVH_FAULT_RATE", env, 1.0);
+  // A set-but-broken knob throws instead of silently disabling the chaos
+  // it was meant to inject.
+  const double rate = parse_number("ADVH_FAULT_RATE", env, {.lo = 0, .hi = 1});
   if (rate == 0.0) return std::nullopt;
   fault_config cfg;
   cfg.read_failure_rate = rate;
@@ -51,7 +30,7 @@ std::optional<fault_config> fault_config_from_env() {
 std::optional<drift_profile> drift_profile_from_env() {
   const char* env = std::getenv("ADVH_DRIFT_RATE");
   if (env == nullptr) return std::nullopt;
-  const double rate = env_rate("ADVH_DRIFT_RATE", env, 99.0);
+  const double rate = parse_number("ADVH_DRIFT_RATE", env, {.lo = 0, .hi = 99});
   if (rate == 0.0) return std::nullopt;
   drift_profile p;
   p.shape = drift_profile::shape_kind::step;

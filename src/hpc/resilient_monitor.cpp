@@ -1,8 +1,8 @@
 #include "hpc/resilient_monitor.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -122,40 +122,44 @@ measurement resilient_monitor::measure_sample(
     }
   };
 
-  const reading_block first =
-      reader_->read_repetitions(x, events, repeats, base_stream);
-  // The prediction comes from the inference itself, not the counters, so
-  // it survives any counter fault.
-  out.predicted = first.predicted;
-  absorb(first);
-
-  // Budget-capped retry rounds: the rounds that do run are identical to
-  // the unbudgeted schedule (same stream indices), the budget merely
-  // truncates it — so budgeted measurements stay thread-invariant.
-  const std::size_t max_attempts =
-      budget.max_retry_rounds == measure_budget::unlimited
-          ? cfg_.retry.max_attempts
-          : std::min(cfg_.retry.max_attempts, budget.max_retry_rounds + 1);
-  for (std::size_t attempt = 1; attempt < max_attempts; ++attempt) {
+  // Repetitions still to read: the largest shortfall among events that
+  // are not lost.
+  const auto missing = [&] {
     std::size_t needed = 0;
     for (std::size_t e = 0; e < n_events; ++e) {
-      if (lost[e]) continue;
-      needed = std::max(needed, repeats - good[e].size());
+      if (!lost[e]) needed = std::max(needed, repeats - good[e].size());
     }
-    if (needed == 0) break;
-    if (budget.cancel != nullptr) {
-      // A cancelled token stops retrying outright; otherwise wait out the
-      // backoff on the token so a drain can cut the sleep short.
-      const auto delay = budget.allow_backoff ? cfg_.retry.delay(attempt - 1)
-                                              : std::chrono::milliseconds{0};
-      if (budget.cancel->wait_for(delay)) break;
-    } else if (budget.allow_backoff) {
-      std::this_thread::sleep_for(cfg_.retry.delay(attempt - 1));
-    }
-    ++out.q.retries;
-    absorb(reader_->read_repetitions(x, events, needed,
-                                     base_stream + attempt));
+    return needed;
+  };
+
+  // Attempt 0 is the first read; it sets the prediction, which comes from
+  // the inference itself, not the counters, so it survives any counter
+  // fault. Attempt a > 0 re-reads the missing repetitions at stream
+  // base_stream + a. The budget only truncates the retry schedule (the
+  // rounds that do run use the unbudgeted stream indices), so budgeted
+  // measurements stay thread-invariant.
+  retry_policy policy = cfg_.retry;
+  if (budget.max_retry_rounds != measure_budget::unlimited) {
+    policy.max_attempts =
+        std::min(policy.max_attempts, budget.max_retry_rounds + 1);
   }
+  if (!budget.allow_backoff) policy.base_delay = std::chrono::milliseconds{0};
+  run_with_retry(
+      policy,
+      [&](std::size_t attempt) {
+        if (attempt == 0) {
+          const reading_block first =
+              reader_->read_repetitions(x, events, repeats, base_stream);
+          out.predicted = first.predicted;
+          absorb(first);
+        } else {
+          ++out.q.retries;
+          absorb(reader_->read_repetitions(x, events, missing(),
+                                           base_stream + attempt));
+        }
+        return missing() == 0;
+      },
+      budget.cancel);
 
   const std::size_t min_reps = std::max<std::size_t>(cfg_.min_repetitions, 1);
   for (std::size_t e = 0; e < n_events; ++e) {

@@ -85,6 +85,4 @@ void model::zero_grad() {
   for (parameter* p : params()) p->zero_grad();
 }
 
-std::size_t model::param_bytes() { return param_count() * sizeof(float); }
-
 }  // namespace advh::nn

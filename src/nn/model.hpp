@@ -50,10 +50,6 @@ class model {
 
   sequential& net() noexcept { return *net_; }
 
-  /// Total parameter bytes; the simulator sizes the model's address space
-  /// from this.
-  std::size_t param_bytes();
-
  private:
   std::string name_;
   std::unique_ptr<sequential> net_;

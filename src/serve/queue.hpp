@@ -87,9 +87,6 @@ class request_queue {
   /// bypass the capacity bound but not close().
   push_result push(request& r);
 
-  /// Compatibility shim: push(), reported as a bool.
-  bool try_push(request& r) { return push(r) == push_result::accepted; }
-
   /// Pops the oldest request of the highest non-empty priority class.
   std::optional<request> try_pop();
 

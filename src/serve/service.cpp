@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -9,6 +8,7 @@
 #include <string>
 
 #include "analysis/policy_pass.hpp"
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -16,26 +16,6 @@
 #include "track/tracker.hpp"
 
 namespace advh::serve {
-
-namespace {
-
-/// Strict positive-number parsing for the serve env knobs, mirroring the
-/// PR 4 convention (hpc/factory env_rate): the whole string must parse
-/// and land in (0, max_value].
-double env_positive(const char* name, const char* value, double max_value) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE || !(v > 0.0) ||
-      v > max_value) {
-    throw std::invalid_argument(std::string(name) + "=\"" + value +
-                                "\": expected a number in (0, " +
-                                std::to_string(max_value) + "]");
-  }
-  return v;
-}
-
-}  // namespace
 
 clock_duration cost_model::cost(std::uint64_t request_id, std::size_t repeats,
                                 std::size_t events) const {
@@ -55,16 +35,12 @@ clock_duration cost_model::cost(std::uint64_t request_id, std::size_t repeats,
 
 serve_config serve_config_from_env(serve_config base) {
   if (const char* env = std::getenv("ADVH_QUEUE_DEPTH")) {
-    const double v = env_positive("ADVH_QUEUE_DEPTH", env, 1e6);
-    const auto depth = static_cast<std::size_t>(v);
-    if (static_cast<double>(depth) != v) {
-      throw std::invalid_argument(std::string("ADVH_QUEUE_DEPTH=\"") + env +
-                                  "\": expected a positive integer");
-    }
-    base.queue_capacity = depth;
+    base.queue_capacity = static_cast<std::size_t>(parse_number(
+        "ADVH_QUEUE_DEPTH", env, {.lo = 1, .hi = 1e6, .integer = true}));
   }
   if (const char* env = std::getenv("ADVH_DEADLINE_MS")) {
-    const double ms = env_positive("ADVH_DEADLINE_MS", env, 1e7);
+    const double ms = parse_number("ADVH_DEADLINE_MS", env,
+                                   {.lo = 0, .hi = 1e7, .lo_open = true});
     base.default_deadline = std::chrono::duration_cast<clock_duration>(
         std::chrono::duration<double, std::milli>(ms));
   }
@@ -100,27 +76,24 @@ namespace {
                  line + "\"");
 }
 
-double parse_number(const std::string& path, std::size_t lineno,
-                    const std::string& line, const std::string& token) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0' || errno == ERANGE ||
-      !(v == v)) {  // rejects empty, trailing junk, overflow and NaN
-    bad_config_line(path, lineno, line, "malformed number \"" + token + "\"");
+/// One number of a config line, through the common strict parser; a
+/// malformed value fails as an io_error naming the file and line.
+double config_number(const std::string& path, std::size_t lineno,
+                     const std::string& line, const std::string& token,
+                     const number_rule& rule = {}) {
+  try {
+    return parse_number("value", token, rule);
+  } catch (const std::invalid_argument& e) {
+    bad_config_line(path, lineno, line, e.what());
   }
-  return v;
 }
 
-std::size_t parse_count(const std::string& path, std::size_t lineno,
-                        const std::string& line, const std::string& token) {
-  const double v = parse_number(path, lineno, line, token);
-  const auto n = static_cast<std::size_t>(v);
-  if (v < 0.0 || static_cast<double>(n) != v) {
-    bad_config_line(path, lineno, line,
-                    "expected a non-negative integer, got \"" + token + "\"");
-  }
-  return n;
+std::size_t config_count(const std::string& path, std::size_t lineno,
+                         const std::string& line, const std::string& token) {
+  // 2^53: the largest range in which every integer is a double.
+  return static_cast<std::size_t>(config_number(
+      path, lineno, line, token,
+      {.lo = 0, .hi = 9007199254740992.0, .integer = true}));
 }
 
 }  // namespace
@@ -152,13 +125,13 @@ serve_config load_serve_config(const std::string& path) {
                         "<retry_rounds|unlimited> <backoff> <shed>\"");
       }
       ladder_rung r;
-      r.engage_occupancy = parse_number(path, lineno, line, engage);
-      r.repeats = parse_count(path, lineno, line, repeats);
+      r.engage_occupancy = config_number(path, lineno, line, engage);
+      r.repeats = config_count(path, lineno, line, repeats);
       r.max_retry_rounds = rounds == "unlimited"
                                ? hpc::measure_budget::unlimited
-                               : parse_count(path, lineno, line, rounds);
-      r.allow_backoff = parse_count(path, lineno, line, backoff) != 0;
-      r.shed_events = parse_count(path, lineno, line, shed) != 0;
+                               : config_count(path, lineno, line, rounds);
+      r.allow_backoff = config_count(path, lineno, line, backoff) != 0;
+      r.shed_events = config_count(path, lineno, line, shed) != 0;
       cfg.ladder.push_back(r);
       continue;
     }
@@ -167,33 +140,33 @@ serve_config load_serve_config(const std::string& path) {
       bad_config_line(path, lineno, line, "expected a single value");
     }
     if (key == "queue_capacity") {
-      cfg.queue_capacity = parse_count(path, lineno, line, value);
+      cfg.queue_capacity = config_count(path, lineno, line, value);
     } else if (key == "default_deadline_ms") {
       cfg.default_deadline = std::chrono::duration_cast<clock_duration>(
           std::chrono::duration<double, std::milli>(
-              parse_number(path, lineno, line, value)));
+              config_number(path, lineno, line, value)));
     } else if (key == "admission_margin") {
-      cfg.admission_margin = parse_number(path, lineno, line, value);
+      cfg.admission_margin = config_number(path, lineno, line, value);
     } else if (key == "release_hysteresis") {
-      cfg.release_hysteresis = parse_number(path, lineno, line, value);
+      cfg.release_hysteresis = config_number(path, lineno, line, value);
     } else if (key == "kept_events_when_shedding") {
-      cfg.kept_events_when_shedding = parse_count(path, lineno, line, value);
+      cfg.kept_events_when_shedding = config_count(path, lineno, line, value);
     } else if (key == "batch_admit_occupancy") {
-      cfg.batch_admit_occupancy = parse_number(path, lineno, line, value);
+      cfg.batch_admit_occupancy = config_number(path, lineno, line, value);
     } else if (key == "batch_size") {
-      cfg.batch_size = parse_count(path, lineno, line, value);
+      cfg.batch_size = config_count(path, lineno, line, value);
     } else if (key == "threads") {
-      cfg.threads = parse_count(path, lineno, line, value);
+      cfg.threads = config_count(path, lineno, line, value);
     } else if (key == "latency_alpha") {
-      cfg.latency_alpha = parse_number(path, lineno, line, value);
+      cfg.latency_alpha = config_number(path, lineno, line, value);
     } else if (key == "initial_unit_cost_us") {
       cfg.initial_unit_cost = std::chrono::duration_cast<clock_duration>(
           std::chrono::duration<double, std::micro>(
-              parse_number(path, lineno, line, value)));
+              config_number(path, lineno, line, value)));
     } else if (key == "initial_fixed_cost_us") {
       cfg.initial_fixed_cost = std::chrono::duration_cast<clock_duration>(
           std::chrono::duration<double, std::micro>(
-              parse_number(path, lineno, line, value)));
+              config_number(path, lineno, line, value)));
     } else {
       bad_config_line(path, lineno, line, "unknown key \"" + key + "\"");
     }
@@ -683,17 +656,6 @@ std::vector<response> detection_service::service_batch() {
       if (!p.shed && inflight_ > 0) --inflight_;
     }
     stats_.breaker_trips = breaker_.trips();
-  }
-  return out;
-}
-
-std::vector<response> detection_service::run_until(clock_duration t) {
-  std::vector<response> out;
-  while (clock_.now() < t) {
-    auto batch = service_batch();
-    if (batch.empty()) break;
-    out.insert(out.end(), std::make_move_iterator(batch.begin()),
-               std::make_move_iterator(batch.end()));
   }
   return out;
 }

@@ -297,10 +297,6 @@ class detection_service {
   /// measurement backend multiplexes one physical PMU anyway).
   std::vector<response> service_batch();
 
-  /// Simulation driver: runs service rounds until the virtual clock
-  /// reaches `t` or the queue empties.
-  std::vector<response> run_until(clock_duration t);
-
   /// Stops admitting (submissions return rejected_draining) and cancels
   /// in-flight retry backoff waits; already-admitted work stays queued.
   void drain();
@@ -315,7 +311,6 @@ class detection_service {
   std::size_t queue_depth() const { return queue_.depth(); }
   breaker_state breaker() const { return breaker_.state(); }
   const serve_config& config() const noexcept { return cfg_; }
-  const core::detector& detector_ref() const noexcept { return det_; }
   const std::vector<ladder_rung>& ladder() const noexcept { return ladder_; }
 
  private:

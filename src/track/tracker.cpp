@@ -1,41 +1,22 @@
 #include "track/tracker.hpp"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 
+#include "common/cli.hpp"
+
 namespace advh::track {
-
-namespace {
-
-/// Strict positive-integer parsing for the track env knobs, mirroring the
-/// PR 4 convention (hpc/factory env_rate, serve env_positive): the whole
-/// string must parse and land in [1, max_value].
-std::size_t env_positive_int(const char* name, const char* value,
-                             double max_value) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  const auto n = static_cast<std::size_t>(v);
-  if (end == value || *end != '\0' || errno == ERANGE || !(v >= 1.0) ||
-      v > max_value || static_cast<double>(n) != v) {
-    throw std::invalid_argument(std::string(name) + "=\"" + value +
-                                "\": expected an integer in [1, " +
-                                std::to_string(max_value) + "]");
-  }
-  return n;
-}
-
-}  // namespace
 
 track_config track_config_from_env(track_config base) {
   if (const char* env = std::getenv("ADVH_TRACK_SHARDS")) {
-    base.table.shards = env_positive_int("ADVH_TRACK_SHARDS", env, 65536.0);
+    base.table.shards = static_cast<std::size_t>(parse_number(
+        "ADVH_TRACK_SHARDS", env, {.lo = 1, .hi = 65536, .integer = true}));
   }
   if (const char* env = std::getenv("ADVH_TRACK_BYTES")) {
-    base.table.byte_budget = env_positive_int("ADVH_TRACK_BYTES", env, 1e15);
+    base.table.byte_budget = static_cast<std::size_t>(parse_number(
+        "ADVH_TRACK_BYTES", env, {.lo = 1, .hi = 1e15, .integer = true}));
   }
   return base;
 }

@@ -8,6 +8,7 @@
 #include "attack/metrics.hpp"
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
+#include "data/dataset.hpp"
 #include "data/synthetic.hpp"
 #include "hpc/resilient_monitor.hpp"
 #include "hpc/sim_backend.hpp"
@@ -175,16 +176,23 @@ TEST_F(IntegrationTest, TemplateBuilderSkipsMisclassified) {
   core::detector_config dcfg;
   dcfg.events = {hpc::hpc_event::cache_misses};
   dcfg.repeats = 2;
-  core::template_builder builder(*monitor_, dcfg, 4);
-  // Feed images with deliberately wrong labels: all must be rejected.
-  std::size_t accepted = 0;
+  // Relabel test images by +1 class, so every prediction disagrees with its
+  // label: collect_template must accept none of them. Images whose
+  // prediction happens to equal the wrong label are dropped up front.
+  std::vector<std::size_t> kept;
   for (std::size_t i = 0; i < 10; ++i) {
-    tensor x = nn::single_example(test_->images, i);
     const std::size_t wrong = (test_->labels[i] + 1) % 4;
-    if (model_->predict_one(x) == wrong) continue;  // skip lucky collisions
-    if (builder.add_sample(x, wrong)) ++accepted;
+    tensor x = nn::single_example(test_->images, i);
+    if (model_->predict_one(x) != wrong) kept.push_back(i);
   }
-  EXPECT_EQ(accepted, 0u);
+  ASSERT_FALSE(kept.empty());
+  data::dataset relabelled = data::subset(*test_, kept);
+  for (std::size_t& label : relabelled.labels) label = (label + 1) % 4;
+  const auto tpl = core::collect_template(*monitor_, dcfg, relabelled,
+                                          /*per_class=*/10, /*seed=*/7);
+  for (std::size_t cls = 0; cls < 4; ++cls) {
+    EXPECT_EQ(tpl.rows(cls), 0u) << "class " << cls;
+  }
 }
 
 TEST_F(IntegrationTest, EvaluateInputsAccumulates) {

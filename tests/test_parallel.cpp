@@ -1,15 +1,17 @@
-// Deterministic parallel measurement engine: pool mechanics, exception
+// Deterministic parallel measurement engine: fork/join chunking, exception
 // propagation, and the bitwise thread-count-invariance contract that the
 // rest of the library (template collection, batch classification, GMM
 // fitting) is built on.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -62,68 +64,61 @@ TEST(Parallel, EnvOverrideControlsDefaultThreads) {
 }
 
 TEST(ThreadPool, ChunksCoverEveryIndexExactlyOnce) {
-  parallel::thread_pool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
   const std::size_t n = 103;  // deliberately not divisible by 4
   std::vector<std::atomic<int>> hits(n);
-  std::atomic<bool> bad_worker{false};
-  pool.run_chunks(n, [&](std::size_t begin, std::size_t end,
-                         std::size_t worker) {
-    if (worker >= pool.size() || begin > end || end > n) bad_worker = true;
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  std::vector<std::atomic<std::size_t>> ran_on(n);
+  parallel::parallel_for(n, 4, [&](std::size_t i, std::size_t worker) {
+    hits[i].fetch_add(1);
+    ran_on[i].store(worker);
   });
-  EXPECT_FALSE(bad_worker);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  // Static chunks: worker w ran exactly [w*n/4, (w+1)*n/4).
+  for (std::size_t w = 0; w < 4; ++w) {
+    for (std::size_t i = w * n / 4; i < (w + 1) * n / 4; ++i) {
+      EXPECT_EQ(ran_on[i].load(), w) << i;
+    }
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossDispatches) {
-  parallel::thread_pool pool(3);
+  // Back-to-back calls each start and join their own workers.
   for (int round = 0; round < 4; ++round) {
     std::atomic<std::size_t> sum{0};
-    pool.run_chunks(10, [&](std::size_t begin, std::size_t end, std::size_t) {
-      for (std::size_t i = begin; i < end; ++i) sum.fetch_add(i);
+    parallel::parallel_for(10, 3, [&](std::size_t i, std::size_t) {
+      sum.fetch_add(i);
     });
     EXPECT_EQ(sum.load(), 45u);
   }
 }
 
 TEST(ThreadPool, ZeroItemsIsANoOp) {
-  parallel::thread_pool pool(4);
   bool called = false;
-  pool.run_chunks(0, [&](std::size_t, std::size_t, std::size_t) {
+  parallel::parallel_for(0, 4, [&](std::size_t, std::size_t) {
     called = true;
   });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, WorkerExceptionRethrownOnCaller) {
-  parallel::thread_pool pool(4);
-  // Index n-1 lands in the last spawned worker's chunk, never the caller's.
-  EXPECT_THROW(
-      pool.run_chunks(8,
-                      [](std::size_t begin, std::size_t end, std::size_t) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          if (i == 7) throw std::runtime_error("worker boom");
-                        }
-                      }),
-      std::runtime_error);
-  // The pool survives a throwing dispatch.
+  // Index 7 lands in the last started worker's chunk, never the caller's.
+  const auto boom = [](std::size_t i, std::size_t) {
+    if (i == 7) throw std::runtime_error("worker boom");
+  };
+  EXPECT_THROW(parallel::parallel_for(8, 4, boom), std::runtime_error);
+  // A throwing call leaves nothing behind: the next one runs every index.
   std::atomic<std::size_t> count{0};
-  pool.run_chunks(8, [&](std::size_t begin, std::size_t end, std::size_t) {
-    count.fetch_add(end - begin);
+  parallel::parallel_for(8, 4, [&](std::size_t, std::size_t) {
+    count.fetch_add(1);
   });
   EXPECT_EQ(count.load(), 8u);
 }
 
 TEST(ThreadPool, CallerChunkExceptionAlsoPropagates) {
-  parallel::thread_pool pool(4);
   // Index 0 is always in worker 0's chunk, which runs on the caller.
-  EXPECT_THROW(
-      pool.run_chunks(8,
-                      [](std::size_t begin, std::size_t, std::size_t) {
-                        if (begin == 0) throw std::runtime_error("caller boom");
-                      }),
-      std::runtime_error);
+  const auto boom = [](std::size_t i, std::size_t) {
+    if (i == 0) throw std::runtime_error("caller boom");
+  };
+  EXPECT_THROW(parallel::parallel_for(8, 4, boom), std::runtime_error);
 }
 
 TEST(ParallelFor, CoversRangeAtAnyWidth) {
@@ -163,6 +158,24 @@ TEST(ParallelFor, ExceptionPropagates) {
                      if (i == 13) throw std::runtime_error("boom");
                    }),
                std::runtime_error);
+}
+
+TEST(ParallelFor, LowestWorkerExceptionWins) {
+  // One index per worker. Worker 3 fails at once, worker 1 only after
+  // 50 ms: the error that surfaces must still be worker 1's, whichever
+  // finished first.
+  try {
+    parallel::parallel_for(4, 4, [](std::size_t i, std::size_t) {
+      if (i == 3) throw std::runtime_error("worker 3");
+      if (i == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw std::runtime_error("worker 1");
+      }
+    });
+    FAIL() << "parallel_for swallowed the workers' exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "worker 1");
+  }
 }
 
 TEST(RngStream, IndependentOfDerivationOrder) {

@@ -193,11 +193,11 @@ TEST(RequestQueue, PriorityOrderWithFifoInsideClass) {
   auto b2 = make_request(3, priority::batch);
   auto c1 = make_request(4, priority::canary);
   auto i2 = make_request(5, priority::interactive);
-  ASSERT_TRUE(q.try_push(b1));
-  ASSERT_TRUE(q.try_push(i1));
-  ASSERT_TRUE(q.try_push(b2));
-  ASSERT_TRUE(q.try_push(c1));
-  ASSERT_TRUE(q.try_push(i2));
+  ASSERT_TRUE(q.push(b1) == push_result::accepted);
+  ASSERT_TRUE(q.push(i1) == push_result::accepted);
+  ASSERT_TRUE(q.push(b2) == push_result::accepted);
+  ASSERT_TRUE(q.push(c1) == push_result::accepted);
+  ASSERT_TRUE(q.push(i2) == push_result::accepted);
   std::vector<std::uint64_t> order;
   while (auto r = q.try_pop()) order.push_back(r->id);
   EXPECT_EQ(order, (std::vector<std::uint64_t>{4, 2, 5, 1, 3}));
@@ -208,12 +208,13 @@ TEST(RequestQueue, BoundRejectsTrafficButNeverCanaries) {
   auto a = make_request(1, priority::interactive);
   auto b = make_request(2, priority::batch);
   auto c = make_request(3, priority::interactive);
-  ASSERT_TRUE(q.try_push(a));
-  ASSERT_TRUE(q.try_push(b));
-  EXPECT_FALSE(q.try_push(c));  // full for traffic...
-  EXPECT_EQ(c.id, 3u);          // ...and the rejected request is untouched
+  ASSERT_TRUE(q.push(a) == push_result::accepted);
+  ASSERT_TRUE(q.push(b) == push_result::accepted);
+  EXPECT_FALSE(q.push(c) == push_result::accepted);  // full for traffic...
+  EXPECT_EQ(c.id, 3u);  // ...and the rejected request is untouched
   auto canary = make_request(4, priority::canary);
-  EXPECT_TRUE(q.try_push(canary));  // ...but canaries bypass the bound
+  // ...but canaries bypass the bound.
+  EXPECT_TRUE(q.push(canary) == push_result::accepted);
   EXPECT_EQ(q.depth(), 2u);
   EXPECT_EQ(q.total_depth(), 3u);
   EXPECT_EQ(q.depth(priority::canary), 1u);

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 
 #include "common/ascii_plot.hpp"
 #include "common/cli.hpp"
@@ -153,6 +154,21 @@ TEST(Cli, DefaultsApply) {
   const char* argv[] = {"prog"};
   ASSERT_TRUE(p.parse(1, argv));
   EXPECT_DOUBLE_EQ(p.get_double("x"), 3.5);
+}
+
+TEST(Cli, NumbersParseStrictly) {
+  cli_parser p("prog", "test");
+  p.add_flag("threads", "0", "an int");
+  p.add_flag("epsilon", "0", "a double");
+  const char* argv[] = {"prog", "--threads", "4x", "--epsilon=0.5x"};
+  ASSERT_TRUE(p.parse(4, argv));
+  // A trailing-garbage value fails loudly instead of running as 4 / 0.5.
+  EXPECT_THROW((void)p.get_int("threads"), std::invalid_argument);
+  EXPECT_THROW((void)p.get_double("epsilon"), std::invalid_argument);
+
+  const char* fractional[] = {"prog", "--threads", "2.5"};
+  ASSERT_TRUE(p.parse(3, fractional));
+  EXPECT_THROW((void)p.get_int("threads"), std::invalid_argument);
 }
 
 TEST(Cli, UnknownFlagThrows) {

@@ -2,9 +2,9 @@
 // min-hash windows), HPC trace sketches, the sharded memory-bounded
 // fingerprint table (byte budget, eviction fairness under adversarial
 // load), the escalation ladder (elevate -> ban, decay, chaos-stable
-// bans), the drift-canary cross-check on trace corroboration, the
-// client-tagged evaluation loop, and the strict-validation sweep over
-// every ADVH_* environment knob.
+// bans), the drift-canary cross-check on trace corroboration, a
+// client-tagged stream through the serving path, and the strict-validation
+// sweep over every ADVH_* environment knob.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -431,40 +431,73 @@ TEST(EvaluateTagged, CampaignIsCutOffCleanClientsUntouched) {
   }
   const core::detector det = core::detector::fit(tpl, dcfg, 1);
 
-  serve::virtual_clock clock;
-  query_tracker tracker(clock, fast_track_config());
-
-  std::vector<core::tagged_query> queries;
+  struct client_query {
+    std::uint64_t client = 0;  ///< 0 = anonymous (tracker is bypassed)
+    tensor input;
+  };
+  std::vector<client_query> queries;
   for (int round = 0; round < 12; ++round) {
-    queries.push_back({1, test_input(3, 0.001 * round), true});  // campaign
-    queries.push_back({2, test_input(std::uint64_t(100 + round)), false});
-    queries.push_back({0, test_input(std::uint64_t(200 + round)), false});
+    queries.push_back({1, test_input(3, 0.001 * round)});  // campaign
+    queries.push_back({2, test_input(std::uint64_t(100 + round))});
+    queries.push_back({0, test_input(std::uint64_t(200 + round))});
   }
-  // Fresh monitor so both the 1- and 4-thread runs below start from the
-  // same backend state (template fitting above advanced `monitor`).
-  hpc::resilient_monitor monitor1(std::make_unique<hpc::sim_backend>(*model),
-                                  hpc::resilience_config::naive());
-  const auto r = core::evaluate_tagged(det, monitor1, tracker, queries);
 
-  EXPECT_EQ(tracker.level(1), escalation::banned);
-  EXPECT_EQ(tracker.level(2), escalation::none);
-  EXPECT_GT(r.banned_skipped, 0u);  // the campaign's tail never measured
-  EXPECT_GT(r.escalated, 0u);       // ...after full-fidelity scrutiny
-  // Everything that was measured got scored: totals add up.
-  EXPECT_EQ(r.eval.fused.total() + r.banned_skipped, queries.size());
+  // The stream goes through the serving path with the tracker in front of
+  // the detector, one service round per three queries. Each run gets a
+  // fresh monitor, so the 1- and 4-thread runs below start from the same
+  // backend state (template fitting above advanced `monitor`).
+  struct tracked_run {
+    serve::serve_stats stats;
+    std::vector<serve::response> responses;
+    escalation campaign = escalation::none;
+    escalation clean = escalation::none;
+  };
+  const auto run = [&](std::size_t threads) {
+    hpc::resilient_monitor mon(std::make_unique<hpc::sim_backend>(*model),
+                               hpc::resilience_config::naive());
+    serve::virtual_clock clock;
+    query_tracker tracker(clock, fast_track_config());
+    serve::serve_config cfg;
+    cfg.threads = threads;
+    serve::detection_service service(det, mon, clock, cfg);
+    service.attach_tracker(tracker);
+    tracked_run out;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      (void)service.submit(queries[i].input, serve::priority::interactive,
+                           serve::no_deadline, queries[i].client);
+      if (i % 3 == 2) {
+        auto batch = service.service_batch();
+        out.responses.insert(out.responses.end(), batch.begin(), batch.end());
+      }
+    }
+    out.stats = service.stats();
+    out.campaign = tracker.level(1);
+    out.clean = tracker.level(2);
+    return out;
+  };
 
-  // Thread-invariance of the whole tagged loop.
-  serve::virtual_clock clock2;
-  query_tracker tracker2(clock2, fast_track_config());
-  hpc::resilient_monitor monitor2(std::make_unique<hpc::sim_backend>(*model),
-                                  hpc::resilience_config::naive());
-  const auto r4 = core::evaluate_tagged(det, monitor2, tracker2, queries, 4);
-  EXPECT_EQ(r4.banned_skipped, r.banned_skipped);
-  EXPECT_EQ(r4.escalated, r.escalated);
-  EXPECT_EQ(r4.eval.fused.true_positives(), r.eval.fused.true_positives());
-  EXPECT_EQ(r4.eval.fused.false_positives(), r.eval.fused.false_positives());
-  EXPECT_EQ(r4.eval.fused.true_negatives(), r.eval.fused.true_negatives());
-  EXPECT_EQ(r4.eval.fused.false_negatives(), r.eval.fused.false_negatives());
+  const tracked_run r = run(1);
+  EXPECT_EQ(r.campaign, escalation::banned);
+  EXPECT_EQ(r.clean, escalation::none);
+  EXPECT_GT(r.stats.rejected_banned, 0u);  // the campaign's tail never measured
+  EXPECT_GT(r.stats.escalated_admitted, 0u);  // ...after full-fidelity scrutiny
+  // Everything that was not banned got served: totals add up.
+  EXPECT_EQ(r.stats.served + r.stats.rejected_banned, queries.size());
+
+  // Thread-invariance of the whole tracked path.
+  const tracked_run r4 = run(4);
+  EXPECT_EQ(r4.stats.rejected_banned, r.stats.rejected_banned);
+  EXPECT_EQ(r4.stats.escalated_admitted, r.stats.escalated_admitted);
+  EXPECT_EQ(r4.stats.served, r.stats.served);
+  EXPECT_EQ(r4.stats.flagged_adversarial, r.stats.flagged_adversarial);
+  ASSERT_EQ(r4.responses.size(), r.responses.size());
+  for (std::size_t i = 0; i < r.responses.size(); ++i) {
+    EXPECT_EQ(r4.responses[i].id, r.responses[i].id);
+    EXPECT_EQ(r4.responses[i].escalated, r.responses[i].escalated);
+    EXPECT_EQ(r4.responses[i].v.flagged, r.responses[i].v.flagged);
+    EXPECT_EQ(r4.responses[i].v.adversarial_any,
+              r.responses[i].v.adversarial_any);
+  }
 }
 
 // ------------------------------------------------------- env knob sweep --
