@@ -8,7 +8,7 @@
 // positions. Phase B pushes interleaved honest/attacker traffic through
 // the full detection_service with a tracker attached, over the
 // hpc::make_monitor stack so the ADVH_FAULT_RATE chaos knob composes: the
-// CI track-chaos job replays this bench with 5% injected counter faults.
+// CI chaos job replays this bench with 5% injected counter faults.
 //
 // Five self-checks gate the exit code:
 //   * campaigns cut off — every seeded campaign is banned before it

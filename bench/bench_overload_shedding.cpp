@@ -21,7 +21,7 @@
 //     threads.
 //
 // The monitor stack is built through hpc::make_monitor, so the
-// ADVH_FAULT_RATE chaos knob composes: the CI overload-chaos job replays
+// ADVH_FAULT_RATE chaos knob composes: the CI chaos job replays
 // this bench with 5% injected counter faults on top of the overload.
 //
 // Writes bench_results/BENCH_overload_shedding.{csv,json}.
@@ -325,7 +325,7 @@ int main(int argc, char** argv) {
   // bound.
   const bool goodput_ok = goodput >= kGoodputFloor;
   // Self-check 4: the degraded traffic is still an accurate detector.
-  // Under injected counter faults (the CI overload-chaos job) the loaded
+  // Under injected counter faults (the CI chaos job) the loaded
   // run and the unloaded baseline draw independent faults on every
   // borderline sample, so the paired difference has a noise floor well
   // above the fidelity signal: a control run serving *everything* at full
