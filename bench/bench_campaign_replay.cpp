@@ -257,7 +257,6 @@ int main(int argc, char** argv) {
   // sized to force heavy eviction churn from the clean-client stream —
   // roughly 50 resident clients against thousands observed.
   track::track_config tcfg;
-  tcfg.table.shards = 4;
   tcfg.table.byte_budget = 64 * 1024;
   const std::size_t n_clean = bench::scaled(2000);
   const std::size_t n_campaigns = bench::scaled(25);

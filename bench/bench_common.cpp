@@ -35,9 +35,7 @@ std::optional<std::size_t> parse_threads(int argc, const char* const* argv,
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
   if (!cli.parse(argc, argv)) return std::nullopt;
-  return static_cast<std::size_t>(
-      parse_number("--threads", cli.get("threads"),
-                   {.lo = 0, .hi = parallel::max_threads, .integer = true}));
+  return cli.get_count("threads", 0, parallel::max_threads);
 }
 
 core::scenario_runtime prepare(data::scenario_id id) {

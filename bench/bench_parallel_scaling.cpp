@@ -57,6 +57,7 @@ int main(int argc, char** argv) {
   cli.add_flag("threads-list", "1,2,4,8", "comma-separated thread counts");
   cli.add_flag("per-class", "20", "template rows M per class");
   if (!cli.parse(argc, argv)) return 0;
+  const std::size_t per_class = cli.get_count("per-class");
 
   std::vector<std::size_t> thread_counts;
   {
@@ -72,8 +73,6 @@ int main(int argc, char** argv) {
   if (thread_counts.empty()) thread_counts = {1};
 
   auto rt = bench::prepare(data::scenario_id::s1);
-  const auto per_class =
-      static_cast<std::size_t>(cli.get_int("per-class"));
 
   core::detector_config dcfg;
   dcfg.events = {hpc::hpc_event::cache_misses, hpc::hpc_event::llc_load_misses};

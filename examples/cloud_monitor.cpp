@@ -21,7 +21,6 @@
 //     checkpoint, and an existing checkpoint is resumed on start.
 //
 // At the end (or on an interrupt) it prints the incident report.
-#include <algorithm>
 #include <csignal>
 #include <filesystem>
 #include <iostream>
@@ -29,6 +28,7 @@
 
 #include "attack/metrics.hpp"
 #include "common/cli.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "core/detector_io.hpp"
 #include "core/pipeline.hpp"
@@ -109,13 +109,22 @@ int main(int argc, char** argv) {
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
   if (!cli.parse(argc, argv)) return 0;
+  // Every flag is read before any work, so a bad value fails fast.
+  const auto scenario_id = data::scenario_from_string(cli.get("scenario"));
+  const std::size_t epochs = cli.get_count("epochs", 1);
+  const std::size_t per_epoch = cli.get_count("queries-per-epoch", 1);
+  const std::size_t canaries_per_class = cli.get_count("canaries-per-class", 1);
+  const double adv_fraction = cli.get_double("adversarial-fraction");
+  const std::size_t drift_epoch = cli.get_count("drift-epoch");
+  const double drift_magnitude = cli.get_double("drift-magnitude");
+  const std::string ckpt_path = cli.get("checkpoint");
+  const std::uint64_t seed = cli.get_count("seed");
+  const std::size_t threads =
+      cli.get_count("threads", 0, parallel::max_threads);
 
   install_signal_handlers();
 
-  auto rt =
-      core::prepare_scenario(data::scenario_from_string(cli.get("scenario")));
-  const auto threads =
-      static_cast<std::size_t>(std::max(0, cli.get_int("threads")));
+  auto rt = core::prepare_scenario(scenario_id);
 
   // Offline phase on the clean calibration machine.
   core::detector_config dcfg;
@@ -125,7 +134,6 @@ int main(int argc, char** argv) {
   const auto tpl =
       core::collect_template(*calib_monitor, dcfg, rt.train, 40, 7, threads);
 
-  const std::string ckpt_path = cli.get("checkpoint");
   core::drift_policy policy;
   policy.min_refit_rows = 8;
   std::optional<core::drift_controller> ctl;
@@ -145,26 +153,19 @@ int main(int argc, char** argv) {
             << " class templates, events: cache-misses + LLC-load-misses)\n";
 
   // Pinned canary set: correctly-classified validation inputs.
-  const auto canaries = core::pick_canaries(
-      *rt.net, rt.test,
-      static_cast<std::size_t>(std::max(1, cli.get_int("canaries-per-class"))),
-      11);
+  const auto canaries =
+      core::pick_canaries(*rt.net, rt.test, canaries_per_class, 11);
 
   // Online monitor: same simulated machine, but its baseline steps at the
   // configured epoch. Stream indices advance attempt_stride per sample,
   // and each epoch measures canaries.size() + queries-per-epoch samples.
-  const auto epochs = static_cast<std::size_t>(std::max(1, cli.get_int("epochs")));
-  const auto per_epoch =
-      static_cast<std::size_t>(std::max(1, cli.get_int("queries-per-epoch")));
-  const auto drift_epoch =
-      static_cast<std::size_t>(std::max(0, cli.get_int("drift-epoch")));
   hpc::monitor_options mopts;
   mopts.kind = hpc::backend_kind::simulator;
   mopts.resilience = hpc::resilience_config{};
   if (drift_epoch < epochs) {
     hpc::drift_profile profile;
     profile.shape = hpc::drift_profile::shape_kind::step;
-    profile.magnitude = cli.get_double("drift-magnitude");
+    profile.magnitude = drift_magnitude;
     profile.onset_stream = drift_epoch * (canaries.inputs.size() + per_epoch) *
                            hpc::resilient_monitor::attempt_stride;
     mopts.drift = profile;
@@ -172,8 +173,7 @@ int main(int argc, char** argv) {
   auto monitor = hpc::make_monitor(*rt.net, mopts);
 
   // Online phase.
-  rng gen(static_cast<std::uint64_t>(cli.get_int("seed")));
-  const double adv_fraction = cli.get_double("adversarial-fraction");
+  rng gen(seed);
   std::map<std::string, core::detection_confusion> by_kind;
   core::detection_confusion overall;
   std::size_t quarantined_verdicts = 0;
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   for (std::size_t epoch = 0; epoch < epochs && !g_stop; ++epoch) {
     if (epoch == drift_epoch) {
       std::cout << "-- baseline drift begins (x"
-                << cli.get_double("drift-magnitude") << " step) --\n";
+                << drift_magnitude << " step) --\n";
     }
     const std::size_t accepted =
         core::probe_canaries(*ctl, *monitor, canaries, threads);

@@ -8,12 +8,12 @@
 //      detection accuracy / F1
 //
 // Run with --help for the knobs.
-#include <algorithm>
 #include <iostream>
 
 #include "attack/metrics.hpp"
 #include "common/cli.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "core/pipeline.hpp"
 #include "hpc/factory.hpp"
@@ -33,9 +33,18 @@ int main(int argc, char** argv) {
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
   if (!cli.parse(argc, argv)) return 0;
+  // Every flag is read before any work, so a bad value fails fast.
+  const auto scenario_id = data::scenario_from_string(cli.get("scenario"));
+  const bool targeted = cli.get_bool("targeted");
+  const double epsilon = cli.get_double("epsilon");
+  const std::size_t m_per_class = cli.get_count("validation-per-class");
+  const std::size_t eval_count = cli.get_count("eval-count");
+  const std::size_t repeats = cli.get_count("repeats", 1);
+  const std::string backend_name = cli.get("backend");
+  const std::size_t threads =
+      cli.get_count("threads", 0, parallel::max_threads);
 
   // 1. Scenario: dataset + trained model (Table 1 row).
-  const auto scenario_id = data::scenario_from_string(cli.get("scenario"));
   core::scenario_runtime rt = core::prepare_scenario(scenario_id);
   std::cout << "scenario " << rt.spec.label << ": " << rt.train.name << " + "
             << to_string(rt.spec.arch) << ", clean accuracy "
@@ -43,15 +52,14 @@ int main(int argc, char** argv) {
 
   // 2. Adversarial examples against the target class.
   attack::attack_config acfg;
-  acfg.goal = cli.get_bool("targeted") ? attack::attack_goal::targeted
-                                       : attack::attack_goal::untargeted;
+  acfg.goal = targeted ? attack::attack_goal::targeted
+                       : attack::attack_goal::untargeted;
   acfg.target_class = rt.spec.target_class;
-  acfg.epsilon = static_cast<float>(cli.get_double("epsilon"));
+  acfg.epsilon = static_cast<float>(epsilon);
   auto atk = attack::make_attack(attack::attack_kind::fgsm, acfg);
 
   // Attack across the whole test set (interleaving classes) until enough
   // successful AEs are collected.
-  const std::size_t eval_count = static_cast<std::size_t>(cli.get_int("eval-count"));
   std::vector<tensor> adv_inputs;
   std::size_t attempted = 0;
   for (std::size_t stride = 0; stride < 7 && adv_inputs.size() < eval_count;
@@ -72,19 +80,14 @@ int main(int argc, char** argv) {
             << attempted << " successful AEs\n";
 
   // 3-4. Offline phase: benign template -> GMMs -> thresholds.
-  const auto backend = cli.get("backend") == "perf" ? hpc::backend_kind::perf
-                       : cli.get("backend") == "auto"
-                           ? hpc::backend_kind::auto_detect
-                           : hpc::backend_kind::simulator;
+  const auto backend = backend_name == "perf" ? hpc::backend_kind::perf
+                       : backend_name == "auto" ? hpc::backend_kind::auto_detect
+                                                : hpc::backend_kind::simulator;
   auto monitor = hpc::make_monitor(*rt.net, backend);
 
   core::detector_config dcfg;
   dcfg.events = hpc::core_events();
-  dcfg.repeats = static_cast<std::size_t>(cli.get_int("repeats"));
-  const auto m_per_class =
-      static_cast<std::size_t>(cli.get_int("validation-per-class"));
-  const auto threads = static_cast<std::size_t>(
-      std::max(0, cli.get_int("threads")));
+  dcfg.repeats = repeats;
   const auto tpl = core::collect_template(*monitor, dcfg, rt.train,
                                           m_per_class, /*seed=*/77, threads);
   const auto det = core::detector::fit(tpl, dcfg, threads);

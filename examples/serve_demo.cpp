@@ -26,6 +26,7 @@
 
 #include "attack/attack.hpp"
 #include "common/cli.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "core/pipeline.hpp"
 #include "hpc/factory.hpp"
@@ -71,13 +72,21 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "2024", "stream RNG seed");
   cli.add_flag("threads", "1", "measurement worker threads");
   if (!cli.parse(argc, argv)) return 0;
+  // Every flag is read before any work, so a bad value fails fast.
+  const auto scenario_id = data::scenario_from_string(cli.get("scenario"));
+  const std::size_t n_requests = cli.get_count("requests", 1);
+  const double overload = std::max(1.0, cli.get_double("overload"));
+  const double adv_fraction = cli.get_double("adversarial-fraction");
+  const std::size_t queue_depth = cli.get_count("queue-depth", 1);
+  const std::size_t deadline_ms = cli.get_count("deadline-ms", 1);
+  const std::size_t canary_every = cli.get_count("canary-every", 1);
+  const std::uint64_t seed = cli.get_count("seed");
+  const std::size_t threads =
+      cli.get_count("threads", 1, parallel::max_threads);
 
   install_signal_handlers();
 
-  auto rt =
-      core::prepare_scenario(data::scenario_from_string(cli.get("scenario")));
-  const auto threads =
-      static_cast<std::size_t>(std::max(1, cli.get_int("threads")));
+  auto rt = core::prepare_scenario(scenario_id);
 
   // Offline: calibrate the S-scenario detector at full fidelity.
   core::detector_config dcfg;
@@ -91,10 +100,9 @@ int main(int argc, char** argv) {
             << " class templates, R = " << dcfg.repeats << ")\n";
 
   // Query pool: clean test images plus successful FGSM evasions.
-  rng gen(static_cast<std::uint64_t>(cli.get_int("seed")));
+  rng gen(seed);
   std::vector<tensor> pool;
   std::vector<bool> pool_adv;
-  const double adv_fraction = cli.get_double("adversarial-fraction");
   while (pool.size() < 64) {
     const std::size_t idx = gen.uniform_index(rt.test.size());
     tensor x = nn::single_example(rt.test.images, idx);
@@ -117,10 +125,8 @@ int main(int argc, char** argv) {
   // (ADVH_QUEUE_DEPTH / ADVH_DEADLINE_MS), so a deployment manifest wins
   // over the demo defaults and a typo in it fails loudly.
   serve::serve_config scfg;
-  scfg.queue_capacity =
-      static_cast<std::size_t>(std::max(1, cli.get_int("queue-depth")));
-  scfg.default_deadline =
-      std::chrono::milliseconds(std::max(1, cli.get_int("deadline-ms")));
+  scfg.queue_capacity = queue_depth;
+  scfg.default_deadline = std::chrono::milliseconds(deadline_ms);
   scfg.threads = threads;
   scfg.admission_margin = 3.0;
   scfg.batch_admit_occupancy = 1.0 / 3.0;
@@ -146,14 +152,9 @@ int main(int argc, char** argv) {
       scfg.sim_cost.fixed +
       scfg.sim_cost.per_unit * static_cast<serve::clock_duration::rep>(
                                    dcfg.repeats * dcfg.events.size());
-  const double overload = std::max(1.0, cli.get_double("overload"));
   const auto period = serve::clock_duration(
       static_cast<serve::clock_duration::rep>(
           static_cast<double>(est_full.count()) / overload));
-  const auto n_requests =
-      static_cast<std::size_t>(std::max(1, cli.get_int("requests")));
-  const auto canary_every =
-      static_cast<std::size_t>(std::max(1, cli.get_int("canary-every")));
   std::vector<planned_arrival> schedule;
   serve::clock_duration t{0};
   for (std::size_t i = 0; i < n_requests; ++i) {

@@ -5,12 +5,12 @@
 // Demonstrates AdvHunter on the many-class scenario: the larger validation
 // requirement (M ~ 60 per class, Figure 6) and per-source-class detection
 // breakdown for a safety-critical deployment.
-#include <algorithm>
 #include <iostream>
 #include <map>
 
 #include "attack/metrics.hpp"
 #include "common/cli.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "core/pipeline.hpp"
 #include "hpc/factory.hpp"
@@ -26,6 +26,12 @@ int main(int argc, char** argv) {
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
   if (!cli.parse(argc, argv)) return 0;
+  // Every flag is read before any work, so a bad value fails fast.
+  const std::size_t m_per_class = cli.get_count("validation-per-class");
+  const std::size_t audit_count = cli.get_count("audit-count");
+  const double epsilon = cli.get_double("epsilon");
+  const std::size_t threads =
+      cli.get_count("threads", 0, parallel::max_threads);
 
   auto rt = core::prepare_scenario(data::scenario_id::s3);
   std::cout << "S3: " << rt.train.name << " ("
@@ -38,12 +44,8 @@ int main(int argc, char** argv) {
   core::detector_config dcfg;
   dcfg.events = {hpc::hpc_event::cache_misses};
   dcfg.repeats = 10;
-  const auto m_per_class =
-      static_cast<std::size_t>(cli.get_int("validation-per-class"));
   // The training pool doubles as the clean validation set (the defender's
   // "limited set of clean validation images").
-  const auto threads = static_cast<std::size_t>(
-      std::max(0, cli.get_int("threads")));
   const auto tpl =
       core::collect_template(*monitor, dcfg, rt.train, m_per_class, 31, threads);
   const auto det = core::detector::fit(tpl, dcfg, threads);
@@ -52,12 +54,10 @@ int main(int argc, char** argv) {
   attack::attack_config acfg;
   acfg.goal = attack::attack_goal::targeted;
   acfg.target_class = rt.spec.target_class;
-  acfg.epsilon = static_cast<float>(cli.get_double("epsilon"));
+  acfg.epsilon = static_cast<float>(epsilon);
   acfg.steps = 10;
   auto atk = attack::make_attack(attack::attack_kind::pgd, acfg);
 
-  const auto audit_count =
-      static_cast<std::size_t>(cli.get_int("audit-count"));
   core::detection_confusion confusion;
   std::map<std::size_t, std::pair<std::size_t, std::size_t>> per_source;
 

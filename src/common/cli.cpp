@@ -1,9 +1,9 @@
 #include "common/cli.hpp"
 
 #include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -22,7 +22,12 @@ double parse_number(const std::string& what, const std::string& text,
       !std::isfinite(v) || !above_lo || v > rule.hi ||
       (rule.integer && v != std::floor(v))) {
     std::ostringstream msg;
-    msg.precision(15);  // integer bounds print exactly
+    // Integer bounds print exactly (2^53 has 16 digits).
+    if (rule.integer) {
+      msg << std::fixed << std::setprecision(0);
+    } else {
+      msg.precision(15);
+    }
     msg << what << "=\"" << text << "\": expected "
         << (rule.integer ? "an integer" : "a number");
     if (std::isfinite(rule.lo) || std::isfinite(rule.hi)) {
@@ -80,10 +85,13 @@ std::string cli_parser::get(const std::string& name) const {
   return it->second.value.value_or(it->second.default_value);
 }
 
-int cli_parser::get_int(const std::string& name) const {
-  return static_cast<int>(parse_number(
+std::size_t cli_parser::get_count(const std::string& name, std::size_t lo,
+                                  std::size_t hi) const {
+  return static_cast<std::size_t>(parse_number(
       "--" + name, get(name),
-      {.lo = INT_MIN, .hi = INT_MAX, .integer = true}));
+      {.lo = static_cast<double>(lo),
+       .hi = static_cast<double>(hi),
+       .integer = true}));
 }
 
 double cli_parser::get_double(const std::string& name) const {
@@ -92,7 +100,10 @@ double cli_parser::get_double(const std::string& name) const {
 
 bool cli_parser::get_bool(const std::string& name) const {
   const std::string v = get(name);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  throw std::invalid_argument("--" + name + "=\"" + v +
+                              "\": expected 1/true/yes/on or 0/false/no/off");
 }
 
 std::string cli_parser::help() const {

@@ -7,6 +7,7 @@
 // binaries self-document.
 #pragma once
 
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <optional>
@@ -46,9 +47,13 @@ class cli_parser {
   bool parse(int argc, const char* const* argv);
 
   std::string get(const std::string& name) const;
-  /// The flag's value through parse_number: an int, or a finite double.
-  int get_int(const std::string& name) const;
+  /// The flag's value through parse_number: a whole number in [lo, hi]
+  /// (a count, size or seed), or a finite double.
+  std::size_t get_count(const std::string& name, std::size_t lo = 0,
+                        std::size_t hi = std::size_t{1} << 53) const;
   double get_double(const std::string& name) const;
+  /// 1/true/yes/on or 0/false/no/off; anything else throws
+  /// std::invalid_argument.
   bool get_bool(const std::string& name) const;
 
   std::string help() const;

@@ -246,26 +246,7 @@ verdict drift_controller::score_victim(const hpc::measurement& m) {
   return v;
 }
 
-verdict drift_controller::classify(hpc::hpc_monitor& monitor, const tensor& x) {
-  return score_victim(
-      monitor.measure(x, det_.config().events, det_.config().repeats));
-}
-
-bool drift_controller::recalibration_due() const {
-  for (std::size_t cls = 0; cls < det_.num_classes(); ++cls) {
-    bool quarantined = false;
-    for (const drift_cell& c : state_.canary[cls]) {
-      quarantined = quarantined || c.quarantined != 0;
-    }
-    if (quarantined &&
-        state_.reservoir[cls].size() >= state_.policy.min_refit_rows) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<std::size_t> drift_controller::recalibrate(std::size_t threads) {
+std::vector<std::size_t> drift_controller::due_classes() const {
   std::vector<std::size_t> due;
   for (std::size_t cls = 0; cls < det_.num_classes(); ++cls) {
     bool quarantined = false;
@@ -277,6 +258,15 @@ std::vector<std::size_t> drift_controller::recalibrate(std::size_t threads) {
       due.push_back(cls);
     }
   }
+  return due;
+}
+
+bool drift_controller::recalibration_due() const {
+  return !due_classes().empty();
+}
+
+std::vector<std::size_t> drift_controller::recalibrate(std::size_t threads) {
+  std::vector<std::size_t> due = due_classes();
   if (due.empty()) return due;
 
   const std::size_t events = det_.config().events.size();

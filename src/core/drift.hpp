@@ -211,9 +211,6 @@ class drift_controller {
   /// reservoir.
   verdict score_victim(const hpc::measurement& m);
 
-  /// Measures `x` through `monitor` and scores it via score_victim.
-  verdict classify(hpc::hpc_monitor& monitor, const tensor& x);
-
   /// True when some quarantined class has accumulated enough post-alarm
   /// canary rows to refit.
   bool recalibration_due() const;
@@ -229,6 +226,9 @@ class drift_controller {
 
  private:
   void validate_state_shape() const;
+  /// Quarantined classes whose reservoir holds at least min_refit_rows
+  /// rows, ascending.
+  std::vector<std::size_t> due_classes() const;
 
   detector det_;
   drift_state state_;

@@ -128,31 +128,6 @@ void evaluate_inputs(const detector& det, hpc::hpc_monitor& monitor,
   }
 }
 
-void evaluate_inputs(drift_controller& ctl, hpc::hpc_monitor& monitor,
-                     std::span<const tensor> inputs, bool is_adversarial,
-                     detection_eval& eval, std::size_t threads) {
-  const auto& cfg = ctl.det().config();
-  if (eval.per_event.size() != cfg.events.size()) {
-    eval.per_event.assign(cfg.events.size(), detection_confusion{});
-  }
-  const auto ms =
-      monitor.measure_batch(inputs, cfg.events, cfg.repeats, threads);
-  for (const auto& m : ms) {
-    // The controller only counts quarantine-masked verdicts in aggregate;
-    // diff the counter around the call to attribute it to this input.
-    const std::uint64_t before = ctl.state().quarantined_verdicts;
-    const verdict v = ctl.score_victim(m);
-    for (std::size_t e = 0; e < v.flagged.size(); ++e) {
-      eval.per_event[e].push(is_adversarial, v.flagged[e]);
-    }
-    eval.fused.push(is_adversarial, v.adversarial_any);
-    if (!v.modeled) ++eval.unmodeled;
-    if (v.degraded) ++eval.degraded;
-    if (v.abstained) ++eval.abstained;
-    if (ctl.state().quarantined_verdicts != before) ++eval.quarantined;
-  }
-}
-
 canary_set pick_canaries(nn::model& net, const data::dataset& d,
                          std::size_t per_class, std::uint64_t seed) {
   canary_set canaries;

@@ -60,23 +60,12 @@ struct detection_eval {
   /// Inputs where the detector abstained (verdict::abstained); their
   /// fused verdict is the flag_on_abstain policy.
   std::size_t abstained = 0;
-  /// Inputs whose predicted class had at least one drift-quarantined
-  /// (class, event) cell masked out of scoring (drift-aware overload
-  /// only; always 0 for the plain-detector overload).
-  std::size_t quarantined = 0;
 };
 
 /// Scores `inputs` (each a batch-of-one tensor); `is_adversarial` is the
 /// shared ground-truth flag for the whole set. Measurement is batched
 /// (bitwise identical at any `threads` value).
 void evaluate_inputs(const detector& det, hpc::hpc_monitor& monitor,
-                     std::span<const tensor> inputs, bool is_adversarial,
-                     detection_eval& eval, std::size_t threads = 0);
-
-/// Drift-aware variant: scores through the controller so quarantined
-/// cells are masked and victim drift telemetry advances. The controller's
-/// canary state is untouched — user traffic never feeds the reservoir.
-void evaluate_inputs(drift_controller& ctl, hpc::hpc_monitor& monitor,
                      std::span<const tensor> inputs, bool is_adversarial,
                      detection_eval& eval, std::size_t threads = 0);
 

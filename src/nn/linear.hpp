@@ -21,8 +21,6 @@ class linear final : public layer {
   shape infer_output_shape(const shape& in) const override;
   trace_contract trace_info() const override { return {true, true, false}; }
 
-  std::size_t in_features() const noexcept { return in_; }
-  std::size_t out_features() const noexcept { return out_; }
   parameter& weight() noexcept { return weight_; }
 
  private:

@@ -1,43 +1,35 @@
-// Sharded, memory-bounded per-client fingerprint table.
+// Memory-bounded per-client fingerprint table.
 //
 // The table is the storage layer of the query tracker: one entry per seen
 // client, holding its recent fingerprint history, its last HPC trace
-// sketch, and its escalation state. It is built for million-user scale:
+// sketch, and its escalation state. It keeps:
 //
-//   * consistent hashing across shards — clients map to shards through a
-//     ring of virtual nodes, so a change of shard count moves only the
-//     ~1/N of clients whose ring arc changes owner instead of rehashing
-//     the world. Each shard has its own mutex; clients on different
-//     shards never contend.
-//   * a hard byte budget — partitioned evenly across shards so eviction is
-//     a shard-local decision (no cross-shard coordination, no global lock).
-//     The table NEVER exceeds the budget: every mutation re-accounts the
-//     entry's bytes and evicts before returning.
+//   * a hard byte budget — the table NEVER exceeds it: every mutation
+//     re-accounts the entry's bytes and evicts before returning.
 //   * fairness under adversarial load — eviction trims the client that
 //     just grew first (a client spraying unique fingerprints eats its own
 //     history), then trims the largest histories down to — but never
 //     below — `min_history`, the match-detection horizon. Whole-client
 //     eviction (idle, unescalated clients, least recently seen first) is
 //     the last resort, reached only when distinct active clients, not one
-//     sprayer, saturate the shard. Escalated and banned clients are never
+//     sprayer, saturate the table. Escalated and banned clients are never
 //     evicted: detection state must survive exactly the memory pressure an
 //     attacker can generate. A banned client's history is dropped on ban —
 //     the flag is the only state that still matters — so bans *shrink* the
 //     table.
 //
-// Determinism: every mutation happens under the owning shard's lock and
-// all eviction ordering is total (bytes, then recency, then client id), so
-// table state is a pure function of the per-shard sequence of operations.
-// The serving layer calls the table in admission order, which the driver
-// controls — worker thread count never changes it.
+// The table has no lock of its own: its owner (track::query_tracker)
+// serialises every call. Determinism: all eviction ordering is total
+// (bytes, then recency, then client id), so table state is a pure function
+// of the sequence of operations. The serving layer calls the tracker in
+// admission order, which the driver controls — worker thread count never
+// changes it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <mutex>
-#include <type_traits>
-#include <vector>
+#include <map>
 
 #include "hpc/trace_sketch.hpp"
 #include "track/fingerprint.hpp"
@@ -68,24 +60,20 @@ struct client_entry {
   escalation level = escalation::none;
   /// Accounted heap bytes of this entry (maintained by the table).
   std::size_t bytes = 0;
-  /// Shard-local operation stamp of the last touch (LRU order).
+  /// Table operation stamp of the last touch (LRU order).
   std::uint64_t last_touch = 0;
 };
 
 struct table_config {
-  std::size_t shards = 8;
-  /// Virtual ring nodes per shard (consistent-hashing granularity).
-  std::size_t vnodes = 16;
-  /// Hard byte budget over all shards (partitioned evenly).
+  /// Hard byte budget of the whole table (at least 4 KiB).
   std::size_t byte_budget = std::size_t{8} << 20;
   /// Fingerprints kept per client before normal rotation.
   std::size_t max_history = 32;
   /// Match-detection horizon: eviction never trims a client below this
   /// many fingerprints. The fairness contract — one sprayer cannot push
   /// any other client below the horizon — holds whenever
-  /// min_history * active_clients_per_shard fits the shard budget.
+  /// min_history * active_clients fits the byte budget.
   std::size_t min_history = 8;
-  std::uint64_t salt = 0xadb1ac7ULL;
 };
 
 struct table_stats {
@@ -109,25 +97,17 @@ class fingerprint_table {
   fingerprint_table& operator=(const fingerprint_table&) = delete;
 
   /// Runs `fn(client_entry&)` for the client's entry — created on demand —
-  /// under the owning shard's lock, then re-accounts the entry's bytes and
-  /// enforces the shard byte budget before returning. `fn` must not keep
-  /// the reference. Returns fn's result.
+  /// then re-accounts the entry's bytes and enforces the byte budget
+  /// before returning. `fn` must not keep the reference. Returns fn's
+  /// result.
   template <typename F>
-  decltype(auto) with(std::uint64_t client, F&& fn) {
-    shard& s = shards_[shard_of(client)];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    client_entry& e = find_or_create(s, client);
+  auto with(std::uint64_t client, F&& fn) {
+    client_entry& e = find_or_create(client);
     const std::size_t before = e.bytes;
-    if constexpr (std::is_void_v<decltype(fn(e))>) {
-      fn(e);
-      reaccount(s, e, before);
-      enforce_budget(s, client);
-    } else {
-      decltype(auto) r = fn(e);
-      reaccount(s, e, before);
-      enforce_budget(s, client);
-      return r;
-    }
+    auto result = fn(e);
+    reaccount(e, before);
+    enforce_budget(e);
+    return result;
   }
 
   /// Escalation level of a client (none when never seen).
@@ -136,44 +116,26 @@ class fingerprint_table {
   /// Fingerprints currently held for a client (0 when never seen).
   std::size_t history_size(std::uint64_t client) const;
 
-  /// Consistent-hash owner shard of a client (exposed for tests and the
-  /// replay bench's shard-occupancy report).
-  std::size_t shard_of(std::uint64_t client) const noexcept;
-
-  std::size_t bytes_used() const;
+  std::size_t bytes_used() const noexcept { return bytes_; }
   table_stats stats() const;
-  const table_config& config() const noexcept { return cfg_; }
 
  private:
-  struct shard {
-    mutable std::mutex mutex;
-    std::vector<client_entry> entries;  ///< unordered; found by scan of map
-    /// client -> index into entries (dense map keeps eviction O(1) swaps).
-    std::vector<std::pair<std::uint64_t, std::size_t>> index;
-    std::size_t bytes = 0;
-    std::uint64_t op = 0;
-    std::uint64_t evicted_fingerprints = 0;
-    std::uint64_t evicted_clients = 0;
-  };
-
-  client_entry& find_or_create(shard& s, std::uint64_t client);
-  static client_entry* find(shard& s, std::uint64_t client);
-  static const client_entry* find(const shard& s, std::uint64_t client);
+  client_entry& find_or_create(std::uint64_t client);
+  const client_entry* find(std::uint64_t client) const;
   static std::size_t entry_bytes(const client_entry& e) noexcept;
-  void reaccount(shard& s, client_entry& e, std::size_t before) noexcept;
-  /// Evicts under the shard lock until the shard fits its budget slice;
-  /// `touched` is the client whose mutation triggered the check (trimmed
-  /// first).
-  void enforce_budget(shard& s, std::uint64_t touched);
-  /// Trims one client's history down to `floor`; returns bytes freed.
-  std::size_t trim_entry(shard& s, client_entry& e, std::size_t floor);
-  void erase_entry(shard& s, std::uint64_t client);
+  void reaccount(client_entry& e, std::size_t before) noexcept;
+  /// Evicts until the table fits its budget; `touched` is the entry whose
+  /// mutation triggered the check (trimmed first, never evicted whole).
+  void enforce_budget(client_entry& touched);
+  /// Trims one client's history down to `floor`.
+  void trim_entry(client_entry& e, std::size_t floor);
 
   table_config cfg_;
-  std::size_t shard_budget_ = 0;
-  /// Consistent-hash ring: (point, shard), sorted by point.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_;
-  std::vector<shard> shards_;
+  std::map<std::uint64_t, client_entry> entries_;  ///< keyed by client id
+  std::size_t bytes_ = 0;
+  std::uint64_t op_ = 0;
+  std::uint64_t evicted_fingerprints_ = 0;
+  std::uint64_t evicted_clients_ = 0;
 };
 
 }  // namespace advh::track

@@ -10,10 +10,6 @@
 namespace advh::track {
 
 track_config track_config_from_env(track_config base) {
-  if (const char* env = std::getenv("ADVH_TRACK_SHARDS")) {
-    base.table.shards = static_cast<std::size_t>(parse_number(
-        "ADVH_TRACK_SHARDS", env, {.lo = 1, .hi = 65536, .integer = true}));
-  }
   if (const char* env = std::getenv("ADVH_TRACK_BYTES")) {
     base.table.byte_budget = static_cast<std::size_t>(parse_number(
         "ADVH_TRACK_BYTES", env, {.lo = 1, .hi = 1e15, .integer = true}));
@@ -41,7 +37,7 @@ query_tracker::query_tracker(const serve::clock_face& clock, track_config cfg)
 void query_tracker::decay(client_entry& e, serve::clock_duration now) const {
   const std::int64_t mark = e.decay_mark_ns;
   const std::int64_t t = now.count();
-  if (t <= mark) return;  // same instant (or clock shared across shards)
+  if (t <= mark) return;  // same instant, or a later reading already applied
   const double halves = static_cast<double>(t - mark) /
                         static_cast<double>(cfg_.hit_halflife.count());
   const double factor = std::exp2(-halves);
@@ -75,7 +71,8 @@ track_decision query_tracker::observe(std::uint64_t client, const tensor& x) {
   const fingerprint fp = fingerprint_input(x, cfg_.fp);
   const auto now = clock_.now();
 
-  track_decision d = table_.with(client, [&](client_entry& e) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const track_decision d = table_.with(client, [&](client_entry& e) {
     track_decision out;
     ++e.queries;
     decay(e, now);
@@ -101,13 +98,10 @@ track_decision query_tracker::observe(std::uint64_t client, const tensor& x) {
     return out;
   });
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++queries_;
-    if (d.matched) ++matched_;
-    if (d.newly_elevated) ++elevations_;
-    if (d.newly_banned) ++bans_;
-  }
+  ++queries_;
+  if (d.matched) ++matched_;
+  if (d.newly_elevated) ++elevations_;
+  if (d.newly_banned) ++bans_;
   return d;
 }
 
@@ -121,28 +115,25 @@ bool query_tracker::record_trace(std::uint64_t client,
   // drift-canary cross-check: a machine-wide baseline shift pulls the
   // baseline along, so clients are only blamed for deviations specific to
   // them.
-  double baseline_dev = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(baseline_mutex_);
-    if (!baseline_seeded_ || baseline_levels_.size() != s.levels.size()) {
-      baseline_levels_.assign(s.levels.begin(), s.levels.end());
-      baseline_seeded_ = true;
-    }
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t e = 0; e < s.levels.size(); ++e) {
-      if (s.levels[e] == hpc::trace_sketch::unavailable) continue;
-      const double level = static_cast<double>(s.levels[e]);
-      sum += std::abs(level - baseline_levels_[e]);
-      ++n;
-      baseline_levels_[e] = (1.0 - cfg_.baseline_alpha) * baseline_levels_[e] +
-                            cfg_.baseline_alpha * level;
-    }
-    baseline_dev = n == 0 ? 0.0 : sum / static_cast<double>(n);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!baseline_seeded_ || baseline_levels_.size() != s.levels.size()) {
+    baseline_levels_.assign(s.levels.begin(), s.levels.end());
+    baseline_seeded_ = true;
   }
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (std::size_t e = 0; e < s.levels.size(); ++e) {
+    if (s.levels[e] == hpc::trace_sketch::unavailable) continue;
+    const double level = static_cast<double>(s.levels[e]);
+    sum += std::abs(level - baseline_levels_[e]);
+    ++n;
+    baseline_levels_[e] = (1.0 - cfg_.baseline_alpha) * baseline_levels_[e] +
+                          cfg_.baseline_alpha * level;
+  }
+  const double baseline_dev = n == 0 ? 0.0 : sum / static_cast<double>(n);
 
   bool corroborated = false;
-  track_decision d = table_.with(client, [&](client_entry& e) {
+  const track_decision d = table_.with(client, [&](client_entry& e) {
     track_decision out;
     decay(e, now);
     e.decay_mark_ns = now.count();
@@ -162,25 +153,35 @@ bool query_tracker::record_trace(std::uint64_t client,
     return out;
   });
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (corroborated) ++trace_corroborations_;
-    if (d.newly_elevated) ++elevations_;
-    if (d.newly_banned) ++bans_;
-  }
+  if (corroborated) ++trace_corroborations_;
+  if (d.newly_elevated) ++elevations_;
+  if (d.newly_banned) ++bans_;
   return corroborated;
 }
 
+escalation query_tracker::level(std::uint64_t client) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return table_.level(client);
+}
+
+std::size_t query_tracker::history_size(std::uint64_t client) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return table_.history_size(client);
+}
+
+std::size_t query_tracker::bytes_used() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return table_.bytes_used();
+}
+
 track_stats query_tracker::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   track_stats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    out.queries = queries_;
-    out.matched = matched_;
-    out.elevations = elevations_;
-    out.bans = bans_;
-    out.trace_corroborations = trace_corroborations_;
-  }
+  out.queries = queries_;
+  out.matched = matched_;
+  out.elevations = elevations_;
+  out.bans = bans_;
+  out.trace_corroborations = trace_corroborations_;
   out.table = table_.stats();
   return out;
 }

@@ -6,7 +6,7 @@
 // from one client, each individually clean-ish. The tracker closes that
 // gap ("Stateful Detection of Black-Box Adversarial Attacks", Blacklight;
 // PAPERS.md): it fingerprints every query (track/fingerprint), keeps
-// per-client history in a sharded, memory-bounded table (track/table) and
+// per-client history in a memory-bounded table (track/table) and
 // escalates clients whose recent queries collide:
 //
 //   none      — queries flow normally.
@@ -30,6 +30,10 @@
 // depend on input-side fingerprints alone, so they are bitwise stable
 // under measurement chaos (ADVH_FAULT_RATE).
 //
+// Thread safety: one mutex guards the table, the counters and the sketch
+// baseline, so a driver thread may read stats() or bytes_used() while a
+// service worker calls record_trace(). Fingerprinting runs outside it.
+//
 // Determinism: decisions are a pure function of the per-client observation
 // sequence plus injected clock reads. The serving layer calls observe()
 // in admission order under its scheduler lock, so a whole replayed run —
@@ -38,6 +42,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <mutex>
+#include <vector>
 
 #include "serve/clock.hpp"
 #include "track/table.hpp"
@@ -72,8 +78,7 @@ struct track_config {
   double baseline_alpha = 0.05;
 };
 
-/// Applies the strict environment overrides to `base` and returns it:
-/// ADVH_TRACK_SHARDS (positive integer) overrides table.shards and
+/// Applies the strict environment override to `base` and returns it:
 /// ADVH_TRACK_BYTES (positive integer, bytes) overrides table.byte_budget.
 /// A set-but-malformed knob throws std::invalid_argument — the PR 4
 /// strict-validation contract: a typo in a deployment manifest must fail
@@ -117,11 +122,12 @@ class query_tracker {
   /// Returns true when the sketch corroborated a campaign.
   bool record_trace(std::uint64_t client, const hpc::trace_sketch& s);
 
-  escalation level(std::uint64_t client) const { return table_.level(client); }
-  std::size_t bytes_used() const { return table_.bytes_used(); }
+  escalation level(std::uint64_t client) const;
+  /// Fingerprints currently held for a client (0 when never seen).
+  std::size_t history_size(std::uint64_t client) const;
+  std::size_t bytes_used() const;
   track_stats stats() const;
   const track_config& config() const noexcept { return cfg_; }
-  const fingerprint_table& table() const noexcept { return table_; }
 
  private:
   /// Applies half-life decay to an entry's credits up to `now`.
@@ -131,9 +137,10 @@ class query_tracker {
 
   const serve::clock_face& clock_;
   track_config cfg_;
-  fingerprint_table table_;
 
-  mutable std::mutex stats_mutex_;
+  /// Guards every member below.
+  mutable std::mutex mutex_;
+  fingerprint_table table_;
   std::uint64_t queries_ = 0;
   std::uint64_t matched_ = 0;
   std::uint64_t elevations_ = 0;
@@ -141,7 +148,6 @@ class query_tracker {
   std::uint64_t trace_corroborations_ = 0;
 
   /// Global decaying per-event sketch baseline (drift cross-check).
-  mutable std::mutex baseline_mutex_;
   std::vector<double> baseline_levels_;
   bool baseline_seeded_ = false;
 };

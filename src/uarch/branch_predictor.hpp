@@ -12,12 +12,6 @@ namespace advh::uarch {
 struct branch_stats {
   std::uint64_t branches = 0;
   std::uint64_t mispredictions = 0;
-
-  double misprediction_rate() const noexcept {
-    return branches ? static_cast<double>(mispredictions) /
-                          static_cast<double>(branches)
-                    : 0.0;
-  }
 };
 
 class gshare_predictor {

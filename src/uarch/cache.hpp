@@ -54,7 +54,6 @@ class cache {
   void reset() noexcept;
   const cache_stats& stats() const noexcept { return stats_; }
   const cache_config& config() const noexcept { return cfg_; }
-  std::size_t num_sets() const noexcept { return sets_; }
 
  private:
   std::size_t set_index(std::uint64_t addr) const noexcept;

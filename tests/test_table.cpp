@@ -143,7 +143,7 @@ TEST(Cli, ParsesFlagsInAllForms) {
   p.add_flag("gamma", "false", "a bool");
   const char* argv[] = {"prog", "--alpha", "42", "--beta=hello", "--gamma"};
   ASSERT_TRUE(p.parse(5, argv));
-  EXPECT_EQ(p.get_int("alpha"), 42);
+  EXPECT_EQ(p.get_count("alpha"), 42u);
   EXPECT_EQ(p.get("beta"), "hello");
   EXPECT_TRUE(p.get_bool("gamma"));
 }
@@ -158,17 +158,31 @@ TEST(Cli, DefaultsApply) {
 
 TEST(Cli, NumbersParseStrictly) {
   cli_parser p("prog", "test");
-  p.add_flag("threads", "0", "an int");
+  p.add_flag("threads", "0", "a count");
   p.add_flag("epsilon", "0", "a double");
-  const char* argv[] = {"prog", "--threads", "4x", "--epsilon=0.5x"};
-  ASSERT_TRUE(p.parse(4, argv));
-  // A trailing-garbage value fails loudly instead of running as 4 / 0.5.
-  EXPECT_THROW((void)p.get_int("threads"), std::invalid_argument);
+  p.add_flag("json", "false", "a bool");
+  const char* argv[] = {"prog", "--threads", "4x", "--epsilon=0.5x",
+                        "--json=ture"};
+  ASSERT_TRUE(p.parse(5, argv));
+  // A trailing-garbage value fails loudly instead of running as 4 / 0.5,
+  // and a misspelt boolean is not read as false.
+  EXPECT_THROW((void)p.get_count("threads"), std::invalid_argument);
   EXPECT_THROW((void)p.get_double("epsilon"), std::invalid_argument);
+  EXPECT_THROW((void)p.get_bool("json"), std::invalid_argument);
 
   const char* fractional[] = {"prog", "--threads", "2.5"};
   ASSERT_TRUE(p.parse(3, fractional));
-  EXPECT_THROW((void)p.get_int("threads"), std::invalid_argument);
+  EXPECT_THROW((void)p.get_count("threads"), std::invalid_argument);
+
+  // A negative count is rejected, not wrapped or clamped, and so is a
+  // value above the flag's ceiling.
+  const char* negative[] = {"prog", "--threads", "-1"};
+  ASSERT_TRUE(p.parse(3, negative));
+  EXPECT_THROW((void)p.get_count("threads"), std::invalid_argument);
+  const char* above[] = {"prog", "--threads", "9"};
+  ASSERT_TRUE(p.parse(3, above));
+  EXPECT_THROW((void)p.get_count("threads", 0, 8), std::invalid_argument);
+  EXPECT_EQ(p.get_count("threads", 0, 9), 9u);
 }
 
 TEST(Cli, UnknownFlagThrows) {

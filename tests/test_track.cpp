@@ -1,12 +1,14 @@
 // Stateful query-stream defense tests: content fingerprints (quantize +
-// min-hash windows), HPC trace sketches, the sharded memory-bounded
-// fingerprint table (byte budget, eviction fairness under adversarial
-// load), the escalation ladder (elevate -> ban, decay, chaos-stable
-// bans), the drift-canary cross-check on trace corroboration, a
-// client-tagged stream through the serving path, and the strict-validation
-// sweep over every ADVH_* environment knob.
+// min-hash windows), HPC trace sketches, the memory-bounded fingerprint
+// table (byte budget, eviction fairness under adversarial load), the
+// escalation ladder (elevate -> ban, decay, chaos-stable bans), the
+// drift-canary cross-check on trace corroboration, the tracker's lock
+// under a concurrent reader, a client-tagged stream through the serving
+// path, and the strict-validation sweep over every ADVH_* environment
+// knob.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -15,6 +17,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -178,35 +181,32 @@ TEST(TraceSketch, NearbyCountsCollideDistantCountsDont) {
 
 // ------------------------------------------------------------ the table --
 
+/// Every distinct client gets its own entry, found again under its id.
 TEST(FingerprintTable, ShardAssignmentIsStableAndSpread) {
-  table_config cfg;
-  cfg.shards = 8;
-  fingerprint_table t1(cfg), t2(cfg);
-  std::vector<std::size_t> occupancy(cfg.shards, 0);
+  fingerprint_table table(table_config{});
   for (std::uint64_t c = 1; c <= 1000; ++c) {
-    const std::size_t s = t1.shard_of(c);
-    EXPECT_EQ(s, t2.shard_of(c));  // pure function of (config, client)
-    ASSERT_LT(s, cfg.shards);
-    ++occupancy[s];
+    const std::uint64_t id = table.with(c, [c](client_entry& e) {
+      e.history.resize(1 + c % 7);
+      return e.client;
+    });
+    EXPECT_EQ(id, c);
   }
-  for (std::size_t s = 0; s < cfg.shards; ++s) {
-    EXPECT_GT(occupancy[s], 0u) << "shard " << s << " got no clients";
+  EXPECT_EQ(table.stats().tracked_clients, 1000u);
+  for (std::uint64_t c = 1; c <= 1000; ++c) {
+    EXPECT_EQ(table.history_size(c), 1 + c % 7) << "client " << c;
   }
+  EXPECT_EQ(table.history_size(1001), 0u);
 }
 
 TEST(FingerprintTable, RejectsDegenerateConfig) {
   table_config cfg;
-  cfg.shards = 0;
-  EXPECT_THROW(fingerprint_table t(cfg), invariant_error);
-  cfg = table_config{};
   cfg.min_history = 0;
   EXPECT_THROW(fingerprint_table t(cfg), invariant_error);
   cfg = table_config{};
   cfg.min_history = cfg.max_history + 1;
   EXPECT_THROW(fingerprint_table t(cfg), invariant_error);
   cfg = table_config{};
-  cfg.shards = 64;
-  cfg.byte_budget = 1024;  // under the 4 KiB-per-shard floor
+  cfg.byte_budget = 1024;  // under the 4 KiB floor
   EXPECT_THROW(fingerprint_table t(cfg), invariant_error);
 }
 
@@ -217,8 +217,6 @@ TEST(FingerprintTable, RejectsDegenerateConfig) {
 TEST(FingerprintTable, SprayerCannotEvictOthersBelowHorizon) {
   serve::virtual_clock clock;
   track_config cfg = fast_track_config();
-  cfg.table.shards = 1;  // force everyone onto one shard: worst case
-  cfg.table.vnodes = 1;
   cfg.table.byte_budget = 4096;  // the minimum the table accepts
   cfg.table.max_history = 64;
   cfg.table.min_history = 2;
@@ -242,7 +240,7 @@ TEST(FingerprintTable, SprayerCannotEvictOthersBelowHorizon) {
   EXPECT_GT(st.table.evicted_fingerprints, 0u)
       << "spray produced no byte pressure; the test lost its teeth";
   for (const std::uint64_t v : victims) {
-    EXPECT_GE(tracker.table().history_size(v), cfg.table.min_history);
+    EXPECT_GE(tracker.history_size(v), cfg.table.min_history);
     // The horizon guarantee is what keeps detection alive: a repeated
     // victim query still collides with the victim's surviving history.
     const auto d = tracker.observe(v, test_input(v));
@@ -279,11 +277,11 @@ TEST(QueryTracker, CampaignEscalatesThenBans) {
 
   // A ban drops the client's history: the table shrinks, and further
   // queries short-circuit without fingerprint matching.
-  EXPECT_EQ(tracker.table().history_size(attacker), 0u);
+  EXPECT_EQ(tracker.history_size(attacker), 0u);
   const auto after = tracker.observe(attacker, test_input(3));
   EXPECT_EQ(after.level, escalation::banned);
   EXPECT_FALSE(after.newly_banned);
-  EXPECT_EQ(tracker.table().history_size(attacker), 0u);
+  EXPECT_EQ(tracker.history_size(attacker), 0u);
 
   const auto st = tracker.stats();
   EXPECT_EQ(st.elevations, 1u);
@@ -392,6 +390,39 @@ TEST(QueryTracker, ReplayIsBitwiseDeterministic) {
     return journal;
   };
   EXPECT_EQ(run(), run());
+}
+
+/// The serving pattern: a driver thread polls the tracker while a service
+/// worker feeds it. Every poll must see a consistent snapshot.
+TEST(QueryTracker, StatsReadableWhileObserving) {
+  serve::virtual_clock clock;
+  track_config cfg = fast_track_config();
+  cfg.table.byte_budget = 16 * 1024;  // small enough to evict meanwhile
+  query_tracker tracker(clock, cfg);
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      // Clients 1-2 run campaigns; clients 3-5 send fresh queries.
+      const std::uint64_t c = 1 + i % 5;
+      const std::uint64_t round = i / 5;
+      tracker.observe(c, c <= 2 ? test_input(c, 0.0005 * (round % 10))
+                                : test_input(100 * c + round));
+    }
+    done = true;
+  });
+  while (!done) {
+    const track_stats st = tracker.stats();
+    EXPECT_LE(st.matched, st.queries);
+    EXPECT_LE(tracker.bytes_used(), cfg.table.byte_budget);
+    (void)tracker.level(1);
+  }
+  writer.join();
+
+  const track_stats st = tracker.stats();
+  EXPECT_EQ(st.queries, 200u);
+  EXPECT_GT(st.table.evicted_fingerprints, 0u)
+      << "no byte pressure: the reader never raced an eviction";
 }
 
 TEST(TrackConfig, ValidatesThresholds) {
@@ -522,18 +553,13 @@ class env_guard {
 };
 
 TEST(TrackEnvKnobs, StrictParseAndOverride) {
-  env_guard g1("ADVH_TRACK_SHARDS"), g2("ADVH_TRACK_BYTES");
-  ::setenv("ADVH_TRACK_SHARDS", "4", 1);
+  env_guard guard("ADVH_TRACK_BYTES");
   ::setenv("ADVH_TRACK_BYTES", "1048576", 1);
   const auto cfg = track_config_from_env();
-  EXPECT_EQ(cfg.table.shards, 4u);
   EXPECT_EQ(cfg.table.byte_budget, std::size_t{1} << 20);
 
-  ::setenv("ADVH_TRACK_SHARDS", "0", 1);  // zero shards: no table
+  ::setenv("ADVH_TRACK_BYTES", "2.5", 1);  // fractional byte count
   EXPECT_THROW(track_config_from_env(), std::invalid_argument);
-  ::setenv("ADVH_TRACK_SHARDS", "2.5", 1);  // fractional shard count
-  EXPECT_THROW(track_config_from_env(), std::invalid_argument);
-  ::unsetenv("ADVH_TRACK_SHARDS");
   ::setenv("ADVH_TRACK_BYTES", "8MiB", 1);  // units are not parsed
   EXPECT_THROW(track_config_from_env(), std::invalid_argument);
 }
@@ -553,7 +579,6 @@ TEST(EnvKnobSweep, EveryKnobRejectsGarbage) {
       {"ADVH_DRIFT_RATE", [] { (void)hpc::drift_profile_from_env(); }},
       {"ADVH_QUEUE_DEPTH", [] { (void)serve::serve_config_from_env(); }},
       {"ADVH_DEADLINE_MS", [] { (void)serve::serve_config_from_env(); }},
-      {"ADVH_TRACK_SHARDS", [] { (void)track_config_from_env(); }},
       {"ADVH_TRACK_BYTES", [] { (void)track_config_from_env(); }},
       {"ADVH_BENCH_SCALE", [] { (void)bench::scale(); }},
   };

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -211,7 +212,8 @@ int main(int argc, char** argv) {
   cli.add_flag("model", "",
                "victim model (name or state file) for the envelope pass");
   cli.add_flag("input", "", "input shape CxHxW (default: per-architecture)");
-  cli.add_flag("classes", "0", "logit width (default: per-architecture)");
+  cli.add_flag("classes", "0",
+               "logit width, at most 65536 (default: per-architecture)");
   cli.add_flag("seed", "1234", "weight-init seed for factory models");
 
   std::vector<std::string> targets;
@@ -233,19 +235,18 @@ int main(int argc, char** argv) {
     }
   }
   if (targets.empty()) return usage(cli.help());
+  cli_options opt;
   try {
     if (!cli.parse(static_cast<int>(rest.size()), rest.data())) return 0;
-  } catch (const advh::error& e) {
+    opt.json = cli.get_bool("json");
+    opt.model = cli.get("model");
+    opt.input = cli.get("input");
+    opt.classes = cli.get_count("classes", 0, 65536);
+    opt.seed = cli.get_count("seed");
+  } catch (const std::exception& e) {  // unknown flag or malformed value
     std::cerr << "advh_check: " << e.what() << "\n";
     return 64;
   }
-
-  cli_options opt;
-  opt.json = cli.get_bool("json");
-  opt.model = cli.get("model");
-  opt.input = cli.get("input");
-  opt.classes = static_cast<std::size_t>(cli.get_int("classes"));
-  opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   int worst = 0;
   std::string json_out = "[";
