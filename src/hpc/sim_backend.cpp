@@ -10,12 +10,20 @@ sim_backend::sim_backend(nn::model& m, const uarch::trace_gen_config& cfg,
 
 uarch::uarch_counts sim_backend::profile(const tensor& x,
                                          std::size_t& predicted) const {
-  nn::inference_trace trace = model_.trace_inference(x, predicted);
-  // Private replay context per call: trace_generator::run resets its cache
-  // and predictor state on entry, so every call (and every concurrent
-  // caller) replays from the same cold pipeline.
-  uarch::trace_generator gen(cfg_);
-  return gen.run(trace);
+  const nn::inference_trace trace = model_.trace_inference(x, predicted);
+  std::unique_ptr<uarch::trace_generator> gen;
+  {
+    const std::lock_guard lock(idle_mutex_);
+    if (!idle_.empty()) {
+      gen = std::move(idle_.back());
+      idle_.pop_back();
+    }
+  }
+  if (!gen) gen = std::make_unique<uarch::trace_generator>(cfg_);
+  const uarch::uarch_counts counts = gen->run(trace);
+  const std::lock_guard lock(idle_mutex_);
+  idle_.push_back(std::move(gen));
+  return counts;
 }
 
 reading_block sim_backend::read_repetitions(const tensor& x,

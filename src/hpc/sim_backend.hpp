@@ -11,6 +11,10 @@
 // so the monitor's stream numbering alone fixes every measurement.
 #pragma once
 
+#include <memory>
+#include <mutex>
+#include <vector>
+
 #include "hpc/monitor.hpp"
 #include "hpc/noise.hpp"
 #include "nn/model.hpp"
@@ -31,9 +35,9 @@ class sim_backend final : public raw_reader {
   uarch::uarch_counts profile(const tensor& x, std::size_t& predicted) const;
 
   /// Raw repetition readings at an explicit noise-stream index. Safe to
-  /// call from multiple threads concurrently (each call replays through a
-  /// private trace generator; the shared model's traced forward is
-  /// read-only).
+  /// call from multiple threads concurrently: the shared model's traced
+  /// forward is read-only, and each call replays through a trace generator
+  /// no other call holds meanwhile.
   reading_block read_repetitions(const tensor& x,
                                  std::span<const hpc_event> events,
                                  std::size_t repeats,
@@ -44,6 +48,11 @@ class sim_backend final : public raw_reader {
   uarch::trace_gen_config cfg_;
   noise_model noise_;
   std::uint64_t seed_;
+  // Idle trace generators. A replay takes one (or makes one when none is
+  // idle) and puts it back, so generators keep their shape-only state
+  // across calls; run() is exact whatever a generator replayed before.
+  mutable std::mutex idle_mutex_;
+  mutable std::vector<std::unique_ptr<uarch::trace_generator>> idle_;
 };
 
 }  // namespace advh::hpc

@@ -5,33 +5,19 @@ namespace advh::uarch {
 memory_hierarchy::memory_hierarchy(const hierarchy_config& cfg)
     : l1d_(cfg.l1d), l1i_(cfg.l1i), llc_(cfg.llc), prefetch_(cfg.l1d_prefetch) {}
 
-void memory_hierarchy::data_access(std::uint64_t addr, access_type type) {
-  const bool hit = l1d_.access(addr, type);
-  if (!hit) {
-    // Write-allocate: a store miss fetches the line before writing, so the
-    // LLC sees it on the store path.
-    llc_.access(addr, type);
-  }
+void memory_hierarchy::train_prefetcher(std::uint64_t addr) {
   // The prefetcher trains on the demand stream (hits included, as L1
   // streamers do) and fills both levels without inflating demand
   // statistics.
-  if (prefetch_.kind() != prefetcher_kind::none) {
-    const std::uint64_t line = addr / l1d_.config().line_bytes;
-    const std::uint64_t target = prefetch_.observe(line);
-    if (target != 0) {
-      const std::uint64_t target_addr = target * l1d_.config().line_bytes;
-      if (!l1d_.probe(target_addr)) {
-        l1d_.fill(target_addr);
-        llc_.fill(target_addr);
-        prefetch_.note_useful();
-      }
+  const std::uint64_t line = addr / l1d_.config().line_bytes;
+  const std::uint64_t target = prefetch_.observe(line);
+  if (target != 0) {
+    const std::uint64_t target_addr = target * l1d_.config().line_bytes;
+    if (!l1d_.probe(target_addr)) {
+      l1d_.fill(target_addr);
+      llc_.fill(target_addr);
+      prefetch_.note_useful();
     }
-  }
-}
-
-void memory_hierarchy::fetch(std::uint64_t addr) {
-  if (!l1i_.access(addr, access_type::load)) {
-    llc_.access(addr, access_type::load);
   }
 }
 

@@ -28,10 +28,37 @@ class memory_hierarchy {
   explicit memory_hierarchy(const hierarchy_config& cfg = {});
 
   /// Data load/store through L1-D, falling through to the LLC on miss.
-  void data_access(std::uint64_t addr, access_type type);
+  void data_access(std::uint64_t addr, access_type type) {
+    if (!l1d_.access(addr, type)) {
+      // Write-allocate: a store miss fetches the line before writing, so
+      // the LLC sees it on the store path.
+      llc_.access(addr, type);
+    }
+    if (prefetch_.kind() != prefetcher_kind::none) train_prefetcher(addr);
+  }
+
+  /// A load of `addr`, then a store to it. With no prefetcher nothing runs
+  /// between the two, so the store hits the line the load left at the
+  /// front of its set; a prefetcher still trains on (and fills after) both.
+  void load_store(std::uint64_t addr) {
+    data_access(addr, access_type::load);
+    if (prefetch_.kind() == prefetcher_kind::none) {
+      l1d_.store_to_front(addr);
+    } else {
+      data_access(addr, access_type::store);
+    }
+  }
 
   /// Instruction fetch through L1-I, falling through to the LLC on miss.
-  void fetch(std::uint64_t addr);
+  void fetch(std::uint64_t addr) {
+    if (!l1i_.access(addr, access_type::load)) {
+      llc_.access(addr, access_type::load);
+    }
+  }
+
+  /// Counts `n` fetches that hit L1-I and change nothing: repeats of a code
+  /// pass that hit on every line (cache::count_load_hits).
+  void count_fetch_hits(std::uint64_t n) noexcept { l1i_.count_load_hits(n); }
 
   void reset() noexcept;
 
@@ -52,6 +79,9 @@ class memory_hierarchy {
   }
 
  private:
+  /// Feeds one demand access to the L1-D prefetcher and issues its fill.
+  void train_prefetcher(std::uint64_t addr);
+
   cache l1d_;
   cache l1i_;
   cache llc_;
