@@ -56,11 +56,11 @@ int main(int argc, char** argv) {
                  "measurement-engine wall-clock scaling over worker threads");
   cli.add_flag("threads-list", "1,2,4,8", "comma-separated thread counts");
   cli.add_flag("per-class", "20", "template rows M per class");
-  if (!cli.parse(argc, argv)) return 0;
-  const std::size_t per_class = cli.get_count("per-class");
-
+  std::size_t per_class = 0;
   std::vector<std::size_t> thread_counts;
-  {
+  try {
+    if (!cli.parse(argc, argv)) return 0;
+    per_class = cli.get_count("per-class");
     std::stringstream ss(cli.get("threads-list"));
     std::string tok;
     while (std::getline(ss, tok, ',')) {
@@ -69,6 +69,8 @@ int main(int argc, char** argv) {
           {.lo = 1, .hi = parallel::max_threads, .integer = true});
       thread_counts.push_back(static_cast<std::size_t>(v));
     }
+  } catch (const std::exception& e) {
+    return cli.usage_error(e);
   }
   if (thread_counts.empty()) thread_counts = {1};
 

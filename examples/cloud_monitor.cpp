@@ -108,19 +108,27 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "2024", "stream RNG seed");
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
-  if (!cli.parse(argc, argv)) return 0;
-  // Every flag is read before any work, so a bad value fails fast.
-  const auto scenario_id = data::scenario_from_string(cli.get("scenario"));
-  const std::size_t epochs = cli.get_count("epochs", 1);
-  const std::size_t per_epoch = cli.get_count("queries-per-epoch", 1);
-  const std::size_t canaries_per_class = cli.get_count("canaries-per-class", 1);
-  const double adv_fraction = cli.get_double("adversarial-fraction");
-  const std::size_t drift_epoch = cli.get_count("drift-epoch");
-  const double drift_magnitude = cli.get_double("drift-magnitude");
-  const std::string ckpt_path = cli.get("checkpoint");
-  const std::uint64_t seed = cli.get_count("seed");
-  const std::size_t threads =
-      cli.get_count("threads", 0, parallel::max_threads);
+  data::scenario_id scenario_id{};
+  std::size_t epochs = 0, per_epoch = 0, canaries_per_class = 0;
+  std::size_t drift_epoch = 0, threads = 0;
+  double adv_fraction = 0.0, drift_magnitude = 0.0;
+  std::string ckpt_path;
+  std::uint64_t seed = 0;
+  try {  // every flag is read before any work, so a bad value fails fast
+    if (!cli.parse(argc, argv)) return 0;
+    scenario_id = data::scenario_from_string(cli.get("scenario"));
+    epochs = cli.get_count("epochs", 1);
+    per_epoch = cli.get_count("queries-per-epoch", 1);
+    canaries_per_class = cli.get_count("canaries-per-class", 1);
+    adv_fraction = cli.get_double("adversarial-fraction");
+    drift_epoch = cli.get_count("drift-epoch");
+    drift_magnitude = cli.get_double("drift-magnitude");
+    ckpt_path = cli.get("checkpoint");
+    seed = cli.get_count("seed");
+    threads = cli.get_count("threads", 0, parallel::max_threads);
+  } catch (const std::exception& e) {
+    return cli.usage_error(e);
+  }
 
   install_signal_handlers();
 

@@ -32,17 +32,24 @@ int main(int argc, char** argv) {
   cli.add_flag("backend", "sim", "HPC backend: sim, perf or auto");
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
-  if (!cli.parse(argc, argv)) return 0;
-  // Every flag is read before any work, so a bad value fails fast.
-  const auto scenario_id = data::scenario_from_string(cli.get("scenario"));
-  const bool targeted = cli.get_bool("targeted");
-  const double epsilon = cli.get_double("epsilon");
-  const std::size_t m_per_class = cli.get_count("validation-per-class");
-  const std::size_t eval_count = cli.get_count("eval-count");
-  const std::size_t repeats = cli.get_count("repeats", 1);
-  const std::string backend_name = cli.get("backend");
-  const std::size_t threads =
-      cli.get_count("threads", 0, parallel::max_threads);
+  data::scenario_id scenario_id{};
+  bool targeted = false;
+  double epsilon = 0.0;
+  std::size_t m_per_class = 0, eval_count = 0, repeats = 0, threads = 0;
+  std::string backend_name;
+  try {  // every flag is read before any work, so a bad value fails fast
+    if (!cli.parse(argc, argv)) return 0;
+    scenario_id = data::scenario_from_string(cli.get("scenario"));
+    targeted = cli.get_bool("targeted");
+    epsilon = cli.get_double("epsilon");
+    m_per_class = cli.get_count("validation-per-class");
+    eval_count = cli.get_count("eval-count");
+    repeats = cli.get_count("repeats", 1);
+    backend_name = cli.get("backend");
+    threads = cli.get_count("threads", 0, parallel::max_threads);
+  } catch (const std::exception& e) {
+    return cli.usage_error(e);
+  }
 
   // 1. Scenario: dataset + trained model (Table 1 row).
   core::scenario_runtime rt = core::prepare_scenario(scenario_id);

@@ -71,18 +71,25 @@ int main(int argc, char** argv) {
   cli.add_flag("canary-every", "25", "traffic arrivals per canary probe");
   cli.add_flag("seed", "2024", "stream RNG seed");
   cli.add_flag("threads", "1", "measurement worker threads");
-  if (!cli.parse(argc, argv)) return 0;
-  // Every flag is read before any work, so a bad value fails fast.
-  const auto scenario_id = data::scenario_from_string(cli.get("scenario"));
-  const std::size_t n_requests = cli.get_count("requests", 1);
-  const double overload = std::max(1.0, cli.get_double("overload"));
-  const double adv_fraction = cli.get_double("adversarial-fraction");
-  const std::size_t queue_depth = cli.get_count("queue-depth", 1);
-  const std::size_t deadline_ms = cli.get_count("deadline-ms", 1);
-  const std::size_t canary_every = cli.get_count("canary-every", 1);
-  const std::uint64_t seed = cli.get_count("seed");
-  const std::size_t threads =
-      cli.get_count("threads", 1, parallel::max_threads);
+  data::scenario_id scenario_id{};
+  std::size_t n_requests = 0, queue_depth = 0, deadline_ms = 0;
+  std::size_t canary_every = 0, threads = 0;
+  double overload = 0.0, adv_fraction = 0.0;
+  std::uint64_t seed = 0;
+  try {  // every flag is read before any work, so a bad value fails fast
+    if (!cli.parse(argc, argv)) return 0;
+    scenario_id = data::scenario_from_string(cli.get("scenario"));
+    n_requests = cli.get_count("requests", 1);
+    overload = std::max(1.0, cli.get_double("overload"));
+    adv_fraction = cli.get_double("adversarial-fraction");
+    queue_depth = cli.get_count("queue-depth", 1);
+    deadline_ms = cli.get_count("deadline-ms", 1);
+    canary_every = cli.get_count("canary-every", 1);
+    seed = cli.get_count("seed");
+    threads = cli.get_count("threads", 1, parallel::max_threads);
+  } catch (const std::exception& e) {
+    return cli.usage_error(e);
+  }
 
   install_signal_handlers();
 

@@ -25,13 +25,17 @@ int main(int argc, char** argv) {
   cli.add_flag("epsilon", "0.3", "PGD attack strength");
   cli.add_flag("threads", "0",
                "measurement worker threads (0 = ADVH_THREADS or hardware)");
-  if (!cli.parse(argc, argv)) return 0;
-  // Every flag is read before any work, so a bad value fails fast.
-  const std::size_t m_per_class = cli.get_count("validation-per-class");
-  const std::size_t audit_count = cli.get_count("audit-count");
-  const double epsilon = cli.get_double("epsilon");
-  const std::size_t threads =
-      cli.get_count("threads", 0, parallel::max_threads);
+  std::size_t m_per_class = 0, audit_count = 0, threads = 0;
+  double epsilon = 0.0;
+  try {  // every flag is read before any work, so a bad value fails fast
+    if (!cli.parse(argc, argv)) return 0;
+    m_per_class = cli.get_count("validation-per-class");
+    audit_count = cli.get_count("audit-count");
+    epsilon = cli.get_double("epsilon");
+    threads = cli.get_count("threads", 0, parallel::max_threads);
+  } catch (const std::exception& e) {
+    return cli.usage_error(e);
+  }
 
   auto rt = core::prepare_scenario(data::scenario_id::s3);
   std::cout << "S3: " << rt.train.name << " ("

@@ -98,12 +98,26 @@ double cli_parser::get_double(const std::string& name) const {
   return parse_number("--" + name, get(name));
 }
 
+std::optional<bool> parse_bool(const std::string& text) {
+  if (text == "1" || text == "true" || text == "yes" || text == "on") {
+    return true;
+  }
+  if (text == "0" || text == "false" || text == "no" || text == "off") {
+    return false;
+  }
+  return std::nullopt;
+}
+
 bool cli_parser::get_bool(const std::string& name) const {
   const std::string v = get(name);
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  if (const auto b = parse_bool(v)) return *b;
   throw std::invalid_argument("--" + name + "=\"" + v +
                               "\": expected 1/true/yes/on or 0/false/no/off");
+}
+
+int cli_parser::usage_error(const std::exception& e) const {
+  std::cerr << program_ << ": " << e.what() << "\n";
+  return 64;
 }
 
 std::string cli_parser::help() const {

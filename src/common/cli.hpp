@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <limits>
 #include <map>
 #include <optional>
@@ -34,6 +35,9 @@ struct number_rule {
 double parse_number(const std::string& what, const std::string& text,
                     const number_rule& rule = {});
 
+/// 1/true/yes/on -> true, 0/false/no/off -> false, anything else nullopt.
+std::optional<bool> parse_bool(const std::string& text);
+
 class cli_parser {
  public:
   /// `program` and `description` are used in help text.
@@ -57,6 +61,10 @@ class cli_parser {
   bool get_bool(const std::string& name) const;
 
   std::string help() const;
+
+  /// Reports a usage error (an unknown flag or a malformed value) as
+  /// "<program>: <message>" on stderr and returns the usage exit code, 64.
+  int usage_error(const std::exception& e) const;
 
  private:
   struct flag {

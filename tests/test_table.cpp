@@ -169,6 +169,17 @@ TEST(Cli, NumbersParseStrictly) {
   EXPECT_THROW((void)p.get_count("threads"), std::invalid_argument);
   EXPECT_THROW((void)p.get_double("epsilon"), std::invalid_argument);
   EXPECT_THROW((void)p.get_bool("json"), std::invalid_argument);
+  // The literals get_bool reads (and advh_check's --json takes as its
+  // value); any other token is no boolean.
+  for (const char* t : {"1", "true", "yes", "on"}) {
+    EXPECT_EQ(parse_bool(t), std::optional<bool>(true)) << t;
+  }
+  for (const char* f : {"0", "false", "no", "off"}) {
+    EXPECT_EQ(parse_bool(f), std::optional<bool>(false)) << f;
+  }
+  for (const char* other : {"", "ture", "2", "resnet_small"}) {
+    EXPECT_EQ(parse_bool(other), std::nullopt) << other;
+  }
 
   const char* fractional[] = {"prog", "--threads", "2.5"};
   ASSERT_TRUE(p.parse(3, fractional));

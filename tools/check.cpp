@@ -226,8 +226,10 @@ int main(int argc, char** argv) {
         return 0;
       }
       rest.push_back(argv[i]);
-      // A flag other than --json consumes the following value token.
-      if (std::strcmp(argv[i], "--json") != 0 && i + 1 < argc) {
+      // A flag consumes the following token as its value; --json only
+      // when that token is a boolean literal, so a target may follow it.
+      if (i + 1 < argc && (std::strcmp(argv[i], "--json") != 0 ||
+                           parse_bool(argv[i + 1]).has_value())) {
         rest.push_back(argv[++i]);
       }
     } else {
@@ -244,8 +246,7 @@ int main(int argc, char** argv) {
     opt.classes = cli.get_count("classes", 0, 65536);
     opt.seed = cli.get_count("seed");
   } catch (const std::exception& e) {  // unknown flag or malformed value
-    std::cerr << "advh_check: " << e.what() << "\n";
-    return 64;
+    return cli.usage_error(e);
   }
 
   int worst = 0;
