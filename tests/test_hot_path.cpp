@@ -13,6 +13,10 @@
 // configuration, so the counts of the same traces are also pinned under
 // four non-default geometries, and a generator that has replayed other
 // shapes must agree with a fresh one.
+//
+// FGSM sees only the sign of an input gradient, so the gradients are pinned
+// on their own: the bits of each input's gradient and of every parameter
+// gradient, in inference mode and in one training-mode batch.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -26,6 +30,7 @@
 
 #include "attack/fgsm.hpp"
 #include "data/scenarios.hpp"
+#include "nn/loss.hpp"
 #include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
 #include "uarch/trace_gen.hpp"
@@ -138,6 +143,46 @@ TEST(HotPath, GoldenCountsS1toS3) {
   EXPECT_EQ(hot_path_digest(data::scenario_id::s1), "0xa5fab38479558631");
   EXPECT_EQ(hot_path_digest(data::scenario_id::s2), "0xecb22dd6c49d5292");
   EXPECT_EQ(hot_path_digest(data::scenario_id::s3), "0xe830386aa83938af");
+}
+
+std::string gradient_digest(data::scenario_id id) {
+  constexpr std::size_t kBatch = 4;
+  const hot_path_case c = load_case(id);
+  nn::model& m = *c.model;
+
+  fnv1a h;
+  const auto feed_param_grads = [&] {
+    for (const nn::parameter* p : m.params()) h.feed(p->grad);
+  };
+  // Inference mode, frozen batch-norm statistics: the attacks' gradient.
+  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
+    std::size_t predicted = 0;
+    h.feed(attack::input_gradient(m, c.inputs[i], i % m.num_classes(),
+                                  predicted));
+    h.feed(predicted);
+    feed_param_grads();
+  }
+
+  // Training mode: batch statistics, and a batch the linear head's
+  // weight gradient sums over.
+  std::vector<std::size_t> idx(kBatch);
+  std::iota(idx.begin(), idx.end(), 0);
+  const data::dataset batch = data::subset(c.test, idx);
+  m.zero_grad();
+  nn::forward_ctx ctx;
+  ctx.training = true;
+  const tensor logits = m.forward(batch.images, ctx);
+  h.feed(logits);
+  h.feed(m.backward(nn::softmax_cross_entropy(logits, batch.labels)
+                        .grad_logits));
+  feed_param_grads();
+  return h.hex();
+}
+
+TEST(HotPath, GoldenGradientsS1toS3) {
+  EXPECT_EQ(gradient_digest(data::scenario_id::s1), "0xa57024f6ef3befd0");
+  EXPECT_EQ(gradient_digest(data::scenario_id::s2), "0xf5af5e0ae6096f72");
+  EXPECT_EQ(gradient_digest(data::scenario_id::s3), "0x3f50ae4c805fafeb");
 }
 
 TEST(HotPath, GoldenCountsAcrossGeometries) {
