@@ -196,12 +196,46 @@ tensor ascending_k_matmul(const tensor& a, const tensor& b) {
   return c;
 }
 
+/// A^T(m,k) * B(m,n): each element sums over the m rows in ascending order,
+/// in float, from +0.
+tensor ascending_i_matmul_at_b(const tensor& a, const tensor& b) {
+  const std::size_t m = a.dims()[0], k = a.dims()[1], n = b.dims()[1];
+  tensor c(shape{k, n});
+  for (std::size_t r = 0; r < k; ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t i = 0; i < m; ++i) {
+        acc += a.data()[i * k + r] * b.data()[i * n + j];
+      }
+      c.data()[r * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+/// A(m,k) * B^T(n,k): each element is one double sum in ascending k, from
+/// 0.0, rounded to float once.
+tensor double_matmul_a_bt(const tensor& a, const tensor& b) {
+  const std::size_t m = a.dims()[0], k = a.dims()[1], n = b.dims()[0];
+  tensor c(shape{m, n});
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        acc += static_cast<double>(a.data()[i * k + kk]) * b.data()[j * k + kk];
+      }
+      c.data()[i * n + j] = static_cast<float>(acc);
+    }
+  }
+  return c;
+}
+
 TEST(Matmul, BlockedKernelMatchesAscendingKReferenceBitForBit) {
-  // Ragged shapes hit the 4x8 register block, its row and column edges and
-  // the scalar tail. Half-zero operands (with negative entries, so some
-  // products are -0) check that no zero-skip is needed for exactness.
+  // Ragged shapes hit the 4x8, 2x8 and 1x8 register blocks, their column
+  // edge and the scalar tail. Half-zero operands (with negative entries, so
+  // some products are -0) check that no zero-skip is needed for exactness.
   rng gen(11);
-  for (std::size_t m : {1, 3, 4, 5, 9}) {
+  for (std::size_t m : {1, 2, 3, 4, 5, 6, 7, 9, 13, 15}) {
     for (std::size_t k : {1, 7, 72}) {
       for (std::size_t n : {1, 7, 8, 9, 33}) {
         for (bool half_zero : {false, true}) {
@@ -213,6 +247,62 @@ TEST(Matmul, BlockedKernelMatchesAscendingKReferenceBitForBit) {
           }
           const tensor want = ascending_k_matmul(a, b);
           const tensor got = matmul(a, b);
+          ASSERT_EQ(got.dims(), want.dims());
+          EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                want.numel() * sizeof(float)),
+                    0)
+              << "m=" << m << " k=" << k << " n=" << n
+              << " half_zero=" << half_zero;
+        }
+      }
+    }
+  }
+}
+
+TEST(Matmul, AtBMatchesAscendingReferenceBitForBit) {
+  // C has k rows, so k walks the row blocks and row remainders of the
+  // kernels, read down A's columns; m is the length of every sum.
+  rng gen(12);
+  for (std::size_t m : {1, 4, 7, 32}) {
+    for (std::size_t k : {1, 2, 3, 4, 6, 7, 13, 15}) {
+      for (std::size_t n : {1, 7, 8, 9, 33}) {
+        for (bool half_zero : {false, true}) {
+          tensor a = tensor::randn(shape{m, k}, gen);
+          tensor b = tensor::randn(shape{m, n}, gen);
+          if (half_zero) {
+            for (float& v : a.data()) v = gen.bernoulli(0.5) ? 0.0f : v;
+            for (float& v : b.data()) v = gen.bernoulli(0.5) ? 0.0f : v;
+          }
+          const tensor want = ascending_i_matmul_at_b(a, b);
+          const tensor got = matmul_at_b(a, b);
+          ASSERT_EQ(got.dims(), want.dims());
+          EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                want.numel() * sizeof(float)),
+                    0)
+              << "m=" << m << " k=" << k << " n=" << n
+              << " half_zero=" << half_zero;
+        }
+      }
+    }
+  }
+}
+
+TEST(Matmul, ABtMatchesDoubleReferenceBitForBit) {
+  // 2x4 blocks of C, the row and columns they leave, and a single row (a
+  // batch-1 linear layer).
+  rng gen(13);
+  for (std::size_t m : {1, 2, 3, 6, 13}) {
+    for (std::size_t k : {1, 7, 72}) {
+      for (std::size_t n : {1, 3, 4, 5, 9, 10}) {
+        for (bool half_zero : {false, true}) {
+          tensor a = tensor::randn(shape{m, k}, gen);
+          tensor b = tensor::randn(shape{n, k}, gen);
+          if (half_zero) {
+            for (float& v : a.data()) v = gen.bernoulli(0.5) ? 0.0f : v;
+            for (float& v : b.data()) v = gen.bernoulli(0.5) ? 0.0f : v;
+          }
+          const tensor want = double_matmul_a_bt(a, b);
+          const tensor got = matmul_a_bt(a, b);
           ASSERT_EQ(got.dims(), want.dims());
           EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
                                 want.numel() * sizeof(float)),
