@@ -37,13 +37,18 @@ trap 'rm -rf "$SCRATCH"' EXIT
 mkdir "$SCRATCH/bench_results"
 ln -s "$ROOT/advh_models" "$SCRATCH/advh_models"
 
+# Each bench's line ends with its wall seconds, once it has finished.
 for b in "${BENCHES[@]}"; do
-  echo "== $b"
+  printf '== %s' "$b"
+  start=$(date +%s%N)
   if ! (cd "$SCRATCH" && "$BUILD/bench/$b" > "$SCRATCH/$b.log" 2>&1); then
+    echo
     cat "$SCRATCH/$b.log"
     echo "check_bench_artifacts: $b exited non-zero" >&2
     exit 1
   fi
+  ms=$((($(date +%s%N) - start) / 1000000))
+  printf ' %d.%03d s\n' $((ms / 1000)) $((ms % 1000))
 done
 
 status=0
