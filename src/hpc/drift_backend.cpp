@@ -33,13 +33,20 @@ bool drift_backend::affects(hpc_event e) const noexcept {
          profile_.events.end();
 }
 
-reading_block drift_backend::read_repetitions(const tensor& x,
-                                              std::span<const hpc_event> events,
-                                              std::size_t repeats,
-                                              std::uint64_t stream) {
-  reading_block block = inner_->read_repetitions(x, events, repeats, stream);
+std::unique_ptr<raw_sample> drift_backend::open(const tensor& x) {
+  return std::make_unique<transformed_sample>(
+      inner_->open(x), [this](reading_block& block,
+                              std::span<const hpc_event> events,
+                              std::uint64_t stream) {
+        apply(block, events, stream);
+      });
+}
+
+void drift_backend::apply(reading_block& block,
+                          std::span<const hpc_event> events,
+                          std::uint64_t stream) const {
   const double factor = factor_at(stream);
-  if (factor == 1.0) return block;
+  if (factor == 1.0) return;
   for (std::size_t r = 0; r < block.repetitions; ++r) {
     for (std::size_t e = 0; e < block.num_events; ++e) {
       const std::size_t idx = r * block.num_events + e;
@@ -48,7 +55,6 @@ reading_block drift_backend::read_repetitions(const tensor& x,
       block.values[idx] *= factor;
     }
   }
-  return block;
 }
 
 }  // namespace advh::hpc

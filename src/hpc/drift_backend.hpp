@@ -51,17 +51,18 @@ class drift_backend final : public raw_reader {
   /// The drift multiplier in effect at `stream` (1.0 before onset).
   double factor_at(std::uint64_t stream) const noexcept;
 
-  /// Inner readings with the drift factor applied; deterministic in
+  /// Opens `x` on the inner reader; each read of the sample returns the
+  /// inner readings with the drift factor applied, deterministic in
   /// `stream`.
-  reading_block read_repetitions(const tensor& x,
-                                 std::span<const hpc_event> events,
-                                 std::size_t repeats,
-                                 std::uint64_t stream) override;
+  std::unique_ptr<raw_sample> open(const tensor& x) override;
 
   const drift_profile& profile() const noexcept { return profile_; }
 
  private:
   bool affects(hpc_event e) const noexcept;
+  /// Scales one inner block's affected readings by factor_at(stream).
+  void apply(reading_block& block, std::span<const hpc_event> events,
+             std::uint64_t stream) const;
 
   std::unique_ptr<raw_reader> inner_;
   drift_profile profile_;

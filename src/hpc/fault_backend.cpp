@@ -46,12 +46,18 @@ std::uint64_t fault_backend::loss_onset(hpc_event e) const noexcept {
   return loss_onset_[static_cast<std::size_t>(e)];
 }
 
-reading_block fault_backend::read_repetitions(const tensor& x,
-                                              std::span<const hpc_event> events,
-                                              std::size_t repeats,
-                                              std::uint64_t stream) {
-  reading_block block = inner_->read_repetitions(x, events, repeats, stream);
+std::unique_ptr<raw_sample> fault_backend::open(const tensor& x) {
+  return std::make_unique<transformed_sample>(
+      inner_->open(x), [this](reading_block& block,
+                              std::span<const hpc_event> events,
+                              std::uint64_t stream) {
+        inject(block, events, stream);
+      });
+}
 
+void fault_backend::inject(reading_block& block,
+                           std::span<const hpc_event> events,
+                           std::uint64_t stream) const {
   rng faults = rng::stream(cfg_.seed, stream);
 
   // A hung read stalls the caller and then every repetition in the block
@@ -63,7 +69,7 @@ reading_block fault_backend::read_repetitions(const tensor& x,
         s = reading_block::read_status::transient_failure;
       }
     }
-    return block;
+    return;
   }
 
   const std::size_t n_events = events.size();
@@ -95,7 +101,6 @@ reading_block fault_backend::read_repetitions(const tensor& x,
       last_good[e] = block.values[idx];
     }
   }
-  return block;
 }
 
 }  // namespace advh::hpc

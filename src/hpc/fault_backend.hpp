@@ -55,11 +55,9 @@ class fault_backend final : public raw_reader {
     return "faulty(" + inner_->backend_name() + ")";
   }
 
-  /// Inner readings with faults injected; deterministic in `stream`.
-  reading_block read_repetitions(const tensor& x,
-                                 std::span<const hpc_event> events,
-                                 std::size_t repeats,
-                                 std::uint64_t stream) override;
+  /// Opens `x` on the inner reader; each read of the sample returns the
+  /// inner readings with faults injected, deterministic in `stream`.
+  std::unique_ptr<raw_sample> open(const tensor& x) override;
 
   /// Stream index from which `e` is permanently lost (max uint64 = never).
   std::uint64_t loss_onset(hpc_event e) const noexcept;
@@ -67,6 +65,10 @@ class fault_backend final : public raw_reader {
   const fault_config& config() const noexcept { return cfg_; }
 
  private:
+  /// Applies the faults keyed on `stream` to one inner block.
+  void inject(reading_block& block, std::span<const hpc_event> events,
+              std::uint64_t stream) const;
+
   std::unique_ptr<raw_reader> inner_;
   fault_config cfg_;
   std::array<std::uint64_t, hpc_event_count> loss_onset_{};

@@ -4,6 +4,14 @@
 
 namespace advh::hpc {
 
+reading_block transformed_sample::read(std::span<const hpc_event> events,
+                                       std::size_t repeats,
+                                       std::uint64_t stream) {
+  reading_block block = inner_->read(events, repeats, stream);
+  transform_(block, events, stream);
+  return block;
+}
+
 measurement hpc_monitor::measure(const tensor& x,
                                  std::span<const hpc_event> events,
                                  std::size_t repeats) {

@@ -152,10 +152,28 @@ perf_backend::perf_backend(nn::model& m) : model_(m) {
 
 perf_backend::~perf_backend() = default;
 
-reading_block perf_backend::read_repetitions(const tensor& x,
+/// One input, counted around `repeats` real inferences per read.
+class perf_backend::sample final : public raw_sample {
+ public:
+  sample(perf_backend& reader, const tensor& x) : reader_(reader), x_(x) {}
+
+  reading_block read(std::span<const hpc_event> events, std::size_t repeats,
+                     std::uint64_t /*stream*/) override {
+    return reader_.count_inferences(x_, events, repeats);
+  }
+
+ private:
+  perf_backend& reader_;
+  const tensor& x_;
+};
+
+std::unique_ptr<raw_sample> perf_backend::open(const tensor& x) {
+  return std::make_unique<sample>(*this, x);
+}
+
+reading_block perf_backend::count_inferences(const tensor& x,
                                              std::span<const hpc_event> events,
-                                             std::size_t repeats,
-                                             std::uint64_t /*stream*/) {
+                                             std::size_t repeats) {
   const std::lock_guard<std::mutex> lock(read_mutex_);
   reading_block block;
   block.repetitions = repeats;

@@ -33,21 +33,25 @@ class perf_backend final : public raw_reader {
 
   std::string backend_name() const override { return "perf_event"; }
 
-  /// Raw per-repetition readings; `stream` is ignored (real hardware has
-  /// no replayable randomness). Concurrent calls are serialised — one
-  /// physical PMU — so a threaded batch still reads one inference at a
-  /// time.
-  reading_block read_repetitions(const tensor& x,
-                                 std::span<const hpc_event> events,
-                                 std::size_t repeats,
-                                 std::uint64_t stream) override;
+  /// A sample of `x` whose every read counts `repeats` real inferences of
+  /// it; `stream` is ignored (real hardware has no replayable randomness).
+  /// Concurrent reads are serialised — one physical PMU — so a threaded
+  /// batch still reads one inference at a time.
+  std::unique_ptr<raw_sample> open(const tensor& x) override;
 
  private:
+  class sample;
+
+  /// The body of every sample read: `repeats` counted inferences of `x`.
+  reading_block count_inferences(const tensor& x,
+                                 std::span<const hpc_event> events,
+                                 std::size_t repeats);
+
   /// Opens a counter fd for one event; returns -1 on failure.
   static int open_event(hpc_event e) noexcept;
 
   nn::model& model_;
-  /// Serialises read_repetitions: it guards the one PMU and the warned
+  /// Serialises count_inferences: it guards the one PMU and the warned
   /// flags below.
   std::mutex read_mutex_;
   /// Events already warned about (multiplex scaling / open failure), so

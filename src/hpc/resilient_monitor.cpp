@@ -132,12 +132,14 @@ measurement resilient_monitor::measure_sample(
     return needed;
   };
 
-  // Attempt 0 is the first read; it sets the prediction, which comes from
+  // One sample per measurement: attempt 0 and every retry round read the
+  // same opened input. Attempt 0 sets the prediction, which comes from
   // the inference itself, not the counters, so it survives any counter
   // fault. Attempt a > 0 re-reads the missing repetitions at stream
   // base_stream + a. The budget only truncates the retry schedule (the
   // rounds that do run use the unbudgeted stream indices), so budgeted
   // measurements stay thread-invariant.
+  const std::unique_ptr<raw_sample> sample = reader_->open(x);
   retry_policy policy = cfg_.retry;
   if (budget.max_retry_rounds != measure_budget::unlimited) {
     policy.max_attempts =
@@ -149,13 +151,12 @@ measurement resilient_monitor::measure_sample(
       [&](std::size_t attempt) {
         if (attempt == 0) {
           const reading_block first =
-              reader_->read_repetitions(x, events, repeats, base_stream);
+              sample->read(events, repeats, base_stream);
           out.predicted = first.predicted;
           absorb(first);
         } else {
           ++out.q.retries;
-          absorb(reader_->read_repetitions(x, events, missing(),
-                                           base_stream + attempt));
+          absorb(sample->read(events, missing(), base_stream + attempt));
         }
         return missing() == 0;
       },

@@ -5,7 +5,9 @@
 // over threads, retries and aggregates:
 //   * per-repetition retry — failed readings are re-read with capped
 //     exponential backoff (common/retry) until the R requested
-//     repetitions are filled or the attempt budget runs out;
+//     repetitions are filled or the attempt budget runs out; every round
+//     reads the one sample the reader opened for the measurement (the
+//     simulator traces and replays the input once per sample);
 //   * robust aggregation — the surviving repetitions are trimmed by
 //     median/MAD outlier rejection before the mean/stddev the detector
 //     consumes are computed, so co-tenant spikes cannot drag the paper's

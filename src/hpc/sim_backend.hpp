@@ -4,7 +4,9 @@
 // is unavailable: the inference runs for real, its data-flow trace is
 // replayed through the microarchitecture simulator, and the resulting true
 // counts are observed R times through the measurement-noise model — the
-// same protocol the paper uses on real counters.
+// same protocol the paper uses on real counters. The inference and the
+// replay run once per opened sample, whatever R is and however many
+// rounds the monitor reads: every round observes the same true counts.
 //
 // Determinism contract: the noise of a read depends only on (seed,
 // stream) — never on which thread read it or how many were in flight —
@@ -34,16 +36,15 @@ class sim_backend final : public raw_reader {
   /// Deterministic (noise-free) event profile of one input.
   uarch::uarch_counts profile(const tensor& x, std::size_t& predicted) const;
 
-  /// Raw repetition readings at an explicit noise-stream index. Safe to
-  /// call from multiple threads concurrently: the shared model's traced
-  /// forward is read-only, and each call replays through a trace generator
-  /// no other call holds meanwhile.
-  reading_block read_repetitions(const tensor& x,
-                                 std::span<const hpc_event> events,
-                                 std::size_t repeats,
-                                 std::uint64_t stream) override;
+  /// Profiles `x` and returns a sample whose reads draw noise on those
+  /// counts. Safe to call from multiple threads concurrently: the shared
+  /// model's traced forward is read-only, and each call replays through a
+  /// trace generator no other call holds meanwhile.
+  std::unique_ptr<raw_sample> open(const tensor& x) override;
 
  private:
+  class sample;
+
   nn::model& model_;
   uarch::trace_gen_config cfg_;
   noise_model noise_;

@@ -563,7 +563,7 @@ TEST(DriftBackend, ScalesOnlyAffectedEvents) {
       hpc::hpc_event::cache_misses, hpc::hpc_event::instructions};
 
   hpc::sim_backend plain(*model);
-  const auto base = plain.read_repetitions(x, events, 4, 42);
+  const auto base = plain.open(x)->read(events, 4, 42);
 
   hpc::drift_profile profile;
   profile.magnitude = 2.0;
@@ -571,7 +571,7 @@ TEST(DriftBackend, ScalesOnlyAffectedEvents) {
   profile.events = {hpc::hpc_event::cache_misses};
   hpc::drift_backend drifted(std::make_unique<hpc::sim_backend>(*model),
                              profile);
-  const auto shifted = drifted.read_repetitions(x, events, 4, 42);
+  const auto shifted = drifted.open(x)->read(events, 4, 42);
 
   ASSERT_EQ(shifted.repetitions, base.repetitions);
   for (std::size_t rep = 0; rep < base.repetitions; ++rep) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -135,8 +136,8 @@ TEST(FaultBackend, FaultPatternIsPureFunctionOfSeedAndStream) {
   fault_backend b(std::make_unique<sim_backend>(*model), fc);
 
   const tensor x = test_input();
-  const auto ba = a.read_repetitions(x, core_events(), 10, 7);
-  const auto bb = b.read_repetitions(x, core_events(), 10, 7);
+  const auto ba = a.open(x)->read(core_events(), 10, 7);
+  const auto bb = b.open(x)->read(core_events(), 10, 7);
   EXPECT_EQ(ba.values, bb.values);
   EXPECT_EQ(ba.status, bb.status);
   // ...and some faults actually happened at this rate/seed.
@@ -146,7 +147,7 @@ TEST(FaultBackend, FaultPatternIsPureFunctionOfSeedAndStream) {
   EXPECT_GT(failures, 0u);
 
   // A different stream index produces a different fault pattern.
-  const auto bc = a.read_repetitions(x, core_events(), 10, 8);
+  const auto bc = a.open(x)->read(core_events(), 10, 8);
   EXPECT_NE(ba.status, bc.status);
 }
 
@@ -162,8 +163,9 @@ TEST(FaultBackend, PermanentLossIsMonotoneInStream) {
   for (std::size_t idx = 0; idx < events.size(); ++idx) {
     const std::uint64_t onset = mon.loss_onset(events[idx]);
     if (onset == 0 || onset > 1u << 14) continue;
-    const auto before = mon.read_repetitions(x, events, 2, onset - 1);
-    const auto after = mon.read_repetitions(x, events, 2, onset);
+    const auto sample = mon.open(x);
+    const auto before = sample->read(events, 2, onset - 1);
+    const auto after = sample->read(events, 2, onset);
     EXPECT_NE(before.status_at(0, idx), reading_block::read_status::event_lost);
     EXPECT_EQ(after.status_at(0, idx), reading_block::read_status::event_lost);
   }
@@ -292,6 +294,68 @@ TEST(ResilientMonitor, RetryBudgetValidatedAgainstStride) {
       invariant_error);
 }
 
+/// Reader wrapper that counts the samples opened and the rounds read.
+class counting_reader final : public raw_reader {
+ public:
+  explicit counting_reader(std::unique_ptr<raw_reader> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string backend_name() const override { return inner_->backend_name(); }
+
+  std::unique_ptr<raw_sample> open(const tensor& x) override {
+    ++opens;
+    return std::make_unique<transformed_sample>(
+        inner_->open(x),
+        [this](reading_block&, std::span<const hpc_event>, std::uint64_t) {
+          ++reads;
+        });
+  }
+
+  std::atomic<std::size_t> opens{0};
+  std::atomic<std::size_t> reads{0};
+
+ private:
+  std::unique_ptr<raw_reader> inner_;
+};
+
+TEST(ResilientMonitor, OneOpenPerSample) {
+  auto model = make_test_model();
+  auto counting = std::make_unique<counting_reader>(
+      std::make_unique<fault_backend>(std::make_unique<sim_backend>(*model),
+                                      transient_faults(0.1)));
+  const counting_reader& counts = *counting;
+  resilient_monitor mon(std::move(counting));
+
+  // Retry rounds re-read the sample the measurement opened: one open per
+  // measured input, however many rounds it took.
+  const auto batch = test_batch(6);
+  for (std::size_t i = 0; i < 3; ++i) {
+    (void)mon.measure(batch[i], core_events(), 10);
+  }
+  (void)mon.measure_batch(std::span<const tensor>(batch).subspan(3, 3),
+                          core_events(), 10, 3);
+  EXPECT_EQ(counts.opens.load(), 6u);
+  EXPECT_GT(counts.reads.load(), 6u);
+
+  // A sample's rounds equal, bit for bit, rounds read from a fresh sample
+  // each: the simulator's reads depend on the input and the stream alone.
+  sim_backend sim(*model);
+  const tensor x = test_input();
+  const auto sample = sim.open(x);
+  constexpr std::uint64_t k = 5;
+  for (std::uint64_t stream = 8 * k; stream < 8 * k + 3; ++stream) {
+    const auto shared = sample->read(core_events(), 10, stream);
+    const auto fresh = sim.open(x)->read(core_events(), 10, stream);
+    EXPECT_EQ(shared.predicted, fresh.predicted);
+    EXPECT_EQ(shared.status, fresh.status);
+    ASSERT_EQ(shared.values.size(), fresh.values.size());
+    for (std::size_t i = 0; i < shared.values.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(shared.values[i]),
+                std::bit_cast<std::uint64_t>(fresh.values[i]));
+    }
+  }
+}
+
 // ------------------------------------------------------ golden streams --
 
 /// FNV-1a over one stack's measurements: 3 serial measures, then a
@@ -377,20 +441,19 @@ class event_killer final : public raw_reader {
     return "killer(" + inner_->backend_name() + ")";
   }
 
-  reading_block read_repetitions(const tensor& x,
-                                 std::span<const hpc_event> events,
-                                 std::size_t repeats,
-                                 std::uint64_t stream) override {
-    reading_block block = inner_->read_repetitions(x, events, repeats, stream);
-    for (std::size_t r = 0; r < block.repetitions; ++r) {
-      for (std::size_t dead : dead_) {
-        if (dead < block.num_events) {
-          block.status[r * block.num_events + dead] =
-              reading_block::read_status::event_lost;
-        }
-      }
-    }
-    return block;
+  std::unique_ptr<raw_sample> open(const tensor& x) override {
+    return std::make_unique<transformed_sample>(
+        inner_->open(x), [this](reading_block& block,
+                                std::span<const hpc_event>, std::uint64_t) {
+          for (std::size_t r = 0; r < block.repetitions; ++r) {
+            for (std::size_t dead : dead_) {
+              if (dead < block.num_events) {
+                block.status[r * block.num_events + dead] =
+                    reading_block::read_status::event_lost;
+              }
+            }
+          }
+        });
   }
 
  private:

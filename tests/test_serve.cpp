@@ -85,25 +85,23 @@ struct serve_rig {
   }
 };
 
-/// Backend whose measurement path can be switched dead/alive, for breaker
-/// tests. Dead = every measure call throws.
-class switchable_monitor final : public hpc::hpc_monitor {
+/// Reader wrapper whose backend can be switched dead/alive, for breaker
+/// tests. Dead = every open throws.
+class switchable_reader final : public hpc::raw_reader {
  public:
-  explicit switchable_monitor(hpc::hpc_monitor& inner) : inner_(inner) {}
+  explicit switchable_reader(std::unique_ptr<hpc::raw_reader> inner)
+      : inner_(std::move(inner)) {}
 
   std::string backend_name() const override { return "switchable"; }
   void set_dead(bool dead) { dead_ = dead; }
 
- protected:
-  hpc::measurement do_measure(const tensor& x,
-                              std::span<const hpc::hpc_event> events,
-                              std::size_t repeats) override {
+  std::unique_ptr<hpc::raw_sample> open(const tensor& x) override {
     if (dead_) throw backend_unavailable("measurement backend down");
-    return inner_.measure(x, events, repeats);
+    return inner_->open(x);
   }
 
  private:
-  hpc::hpc_monitor& inner_;
+  std::unique_ptr<hpc::raw_reader> inner_;
   std::atomic<bool> dead_{false};
 };
 
@@ -748,11 +746,13 @@ TEST(DetectionService, DrainStopsAdmissionButFlushesAdmittedWork) {
 
 TEST(DetectionService, DeadBackendTripsBreakerAndRecovers) {
   auto model = make_test_model();
-  hpc::resilient_monitor sim(std::make_unique<hpc::sim_backend>(*model),
-                             hpc::resilience_config::naive());
+  auto reader = std::make_unique<switchable_reader>(
+      std::make_unique<hpc::sim_backend>(*model));
+  switchable_reader& backend = *reader;
+  hpc::resilient_monitor monitor(std::move(reader),
+                                 hpc::resilience_config::naive());
   const auto dcfg = test_detector_config();
-  core::detector det = fit_test_detector(sim, dcfg);
-  switchable_monitor monitor(sim);
+  core::detector det = fit_test_detector(monitor, dcfg);
   virtual_clock clock;
   serve_config cfg;
   cfg.queue_capacity = 16;
@@ -762,7 +762,7 @@ TEST(DetectionService, DeadBackendTripsBreakerAndRecovers) {
   cfg.breaker.half_open_probes = 2;
   detection_service service(det, monitor, clock, cfg);
 
-  monitor.set_dead(true);
+  backend.set_dead(true);
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(service.submit(test_input(), priority::batch, no_deadline)
                     .admitted());
@@ -778,7 +778,7 @@ TEST(DetectionService, DeadBackendTripsBreakerAndRecovers) {
 
   // After the cooldown the breaker admits a bounded probe set; a healed
   // backend closes it again and traffic flows.
-  monitor.set_dead(false);
+  backend.set_dead(false);
   clock.advance(milliseconds(50));
   ASSERT_TRUE(service.submit(test_input(), priority::batch, no_deadline)
                   .admitted());
