@@ -154,12 +154,17 @@ std::string gradient_digest(data::scenario_id id) {
   const auto feed_param_grads = [&] {
     for (const nn::parameter* p : m.params()) h.feed(p->grad);
   };
-  // Inference mode, frozen batch-norm statistics: the attacks' gradient.
+  // Inference mode, frozen batch-norm statistics: the attacks' input
+  // gradient, then the parameter gradients of the same forward and
+  // backward run with parameter gradients on.
   for (std::size_t i = 0; i < c.inputs.size(); ++i) {
+    const std::size_t label = i % m.num_classes();
     std::size_t predicted = 0;
-    h.feed(attack::input_gradient(m, c.inputs[i], i % m.num_classes(),
-                                  predicted));
+    h.feed(attack::input_gradient(m, c.inputs[i], label, predicted));
     h.feed(predicted);
+    m.zero_grad();
+    nn::forward_ctx ctx;
+    m.backward(nn::nll_grad_single(m.forward(c.inputs[i], ctx), label));
     feed_param_grads();
   }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/matmul.hpp"
@@ -110,6 +114,73 @@ TEST(Col2im, Accumulates) {
   col2im_accumulate(ones, 0, g, grad);
   col2im_accumulate(ones, 0, g, grad);
   for (float v : grad.data()) EXPECT_FLOAT_EQ(v, 2.0f);
+}
+
+// The scatter col2im_accumulate must match: every (c, kh, kw, y, x) in
+// order, each input coordinate bounds-checked on its own.
+void col2im_per_element(const tensor& cols, std::size_t batch_index,
+                        const conv_geometry& g, tensor& grad_input) {
+  const std::size_t oh = g.out_h();
+  const std::size_t ow = g.out_w();
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    for (std::size_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (std::size_t kw = 0; kw < g.kernel_w; ++kw) {
+        const std::size_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+        for (std::size_t y = 0; y < oh; ++y) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(y * g.stride + kh) -
+              static_cast<std::ptrdiff_t>(g.pad);
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) continue;
+          for (std::size_t x = 0; x < ow; ++x) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(x * g.stride + kw) -
+                static_cast<std::ptrdiff_t>(g.pad);
+            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w)) continue;
+            grad_input.at(batch_index, c, static_cast<std::size_t>(iy),
+                          static_cast<std::size_t>(ix)) +=
+                cols.at(row, y * ow + x);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Col2im, MatchesPerElementScatterBitForBit) {
+  rng gen(29);
+  for (int trial = 0; trial < 300; ++trial) {
+    conv_geometry g;
+    g.in_channels = 1 + gen.uniform_index(3);
+    g.kernel_h = 1 + gen.uniform_index(5);
+    g.kernel_w = 1 + gen.uniform_index(5);
+    g.stride = 1 + gen.uniform_index(3);
+    g.pad = gen.uniform_index(3);
+    // Any extent from the smallest the kernel fits up to 10 pixels more.
+    const auto smallest = [&](std::size_t k) -> std::size_t {
+      return k > 2 * g.pad ? k - 2 * g.pad : 1;
+    };
+    g.in_h = smallest(g.kernel_h) + gen.uniform_index(11);
+    g.in_w = smallest(g.kernel_w) + gen.uniform_index(11);
+    const shape image{2, g.in_channels, g.in_h, g.in_w};
+    const tensor cols = tensor::randn(
+        shape{g.in_channels * g.kernel_h * g.kernel_w, g.out_h() * g.out_w()},
+        gen);
+    const tensor start = tensor::randn(image, gen);
+    for (std::size_t b = 0; b < 2; ++b) {
+      tensor want = start;
+      col2im_per_element(cols, b, g, want);
+      tensor got = start;
+      col2im_accumulate(cols, b, g, got);
+      for (std::size_t i = 0; i < want.numel(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(want[i]))
+            << "trial " << trial << " batch " << b << " element " << i
+            << ": C " << g.in_channels << ", " << g.in_h << "x" << g.in_w
+            << ", kernel " << g.kernel_h << "x" << g.kernel_w << ", stride "
+            << g.stride << ", pad " << g.pad;
+      }
+    }
+  }
 }
 
 }  // namespace

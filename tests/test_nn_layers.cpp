@@ -3,7 +3,10 @@
 // attacks (which differentiate through the whole network) are correct.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 #include "nn/activations.hpp"
@@ -246,6 +249,38 @@ TEST(Relu, TraceRecordsActiveOutputs) {
   ASSERT_EQ(trace.layers.size(), 1u);
   EXPECT_EQ(trace.layers[0].active_outputs,
             (std::vector<std::uint32_t>{1, 3}));
+}
+
+TEST(Relu, SpecialValuesKeepTheScalarLoopsBits) {
+  using limits = std::numeric_limits<float>;
+  const float six = 6.0f;
+  const std::vector<float> values{
+      0.0f, -0.0f, 1.0f, -1.0f, limits::infinity(), -limits::infinity(),
+      limits::quiet_NaN(), -limits::quiet_NaN(), limits::denorm_min(),
+      -limits::denorm_min(), 1e-39f, -1e-39f, limits::min(), -limits::min(),
+      std::nextafter(six, 0.0f), six, std::nextafter(six, 7.0f), 7.0f,
+      limits::max(), -limits::max()};
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  for (const float clip : {0.0f, six}) {
+    relu act("r", clip);
+    forward_ctx ctx;
+    const tensor x(shape{values.size()}, values);
+    const tensor y = act.forward(x, ctx);
+    // The gradient flowing in carries the same special values, reversed.
+    const tensor g(shape{values.size()},
+                   std::vector<float>(values.rbegin(), values.rend()));
+    const tensor gx = act.backward(g);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      float want_y = values[i];
+      if (want_y < 0.0f) want_y = 0.0f;
+      if (clip > 0.0f && want_y > clip) want_y = clip;
+      float want_g = g[i];
+      const float v = values[i];
+      if (!(v > 0.0f && (clip <= 0.0f || v < clip))) want_g = 0.0f;
+      EXPECT_EQ(bits(y[i]), bits(want_y)) << "clip " << clip << ", x " << i;
+      EXPECT_EQ(bits(gx[i]), bits(want_g)) << "clip " << clip << ", x " << i;
+    }
+  }
 }
 
 TEST(MaxPool, SelectsMaxima) {
