@@ -94,23 +94,20 @@ void col2im_accumulate(const tensor& cols, std::size_t batch_index,
   float* pi = grad_input.data().data() +
               batch_index * g.in_channels * g.in_h * g.in_w;
 
+  // im2col's walk in reverse: each input-gradient element receives its
+  // contributions in (c, kh, kw, y, x) order, skipping the padding.
   for (std::size_t c = 0; c < g.in_channels; ++c) {
     for (std::size_t kh = 0; kh < g.kernel_h; ++kh) {
+      const auto [y_lo, y_hi] = inside(kh, g.in_h, oh, g);
       for (std::size_t kw = 0; kw < g.kernel_w; ++kw) {
+        const auto [x_lo, x_hi] = inside(kw, g.in_w, ow, g);
         const std::size_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
         const float* in_row = pc + row * oh * ow;
-        for (std::size_t y = 0; y < oh; ++y) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(y * g.stride + kh) -
-              static_cast<std::ptrdiff_t>(g.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) continue;
-          for (std::size_t x = 0; x < ow; ++x) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(x * g.stride + kw) -
-                static_cast<std::ptrdiff_t>(g.pad);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w)) continue;
-            pi[(c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w +
-               static_cast<std::size_t>(ix)] += in_row[y * ow + x];
+        for (std::size_t y = y_lo; y < y_hi; ++y) {
+          float* dst = pi + (c * g.in_h + y * g.stride + kh - g.pad) * g.in_w;
+          const float* src = in_row + y * ow;
+          for (std::size_t x = x_lo; x < x_hi; ++x) {
+            dst[x * g.stride + kw - g.pad] += src[x];
           }
         }
       }
