@@ -1,15 +1,30 @@
 #include "nn/activations.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.hpp"
 
 namespace advh::nn {
 
+namespace {
+/// `alt` where `take` holds, else `v`, as a bitwise select: which units
+/// fire is data, so a branch on it mispredicts.
+float select(bool take, float alt, float v) {
+  const std::uint32_t m = 0u - static_cast<std::uint32_t>(take);
+  return std::bit_cast<float>((std::bit_cast<std::uint32_t>(alt) & m) |
+                              (std::bit_cast<std::uint32_t>(v) & ~m));
+}
+}  // namespace
+
 tensor relu::forward(const tensor& x, forward_ctx& ctx) {
   if (ctx.grad) input_ = x;
   tensor out = x;
+  // A negative input becomes +0; -0 and NaN pass, then the clip applies.
+  const bool clipped = clip_ > 0.0f;
   for (auto& v : out.data()) {
-    if (v < 0.0f) v = 0.0f;
-    if (clip_ > 0.0f && v > clip_) v = clip_;
+    v = select(v < 0.0f, 0.0f, v);
+    v = select(clipped & (v > clip_), clip_, v);
   }
 
   if (ctx.trace != nullptr) {
@@ -32,9 +47,10 @@ tensor relu::backward(const tensor& grad_out) {
   tensor grad_in = grad_out;
   auto g = grad_in.data();
   auto x = input_.data();
+  const bool unclipped = clip_ <= 0.0f;
   for (std::size_t i = 0; i < g.size(); ++i) {
-    const bool pass = x[i] > 0.0f && (clip_ <= 0.0f || x[i] < clip_);
-    if (!pass) g[i] = 0.0f;
+    const bool pass = (x[i] > 0.0f) & (unclipped | (x[i] < clip_));
+    g[i] = select(!pass, 0.0f, g[i]);
   }
   return grad_in;
 }
