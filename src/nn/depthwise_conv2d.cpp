@@ -118,33 +118,49 @@ tensor depthwise_conv2d::backward(const tensor& grad_out) {
   const std::size_t batch = input_.dims()[0];
   const std::size_t ih = input_.dims()[2];
   const std::size_t iw = input_.dims()[3];
-  const std::size_t oh = grad_out.dims()[2];
-  const std::size_t ow = grad_out.dims()[3];
+  const std::size_t oh = (ih + 2 * cfg_.pad - cfg_.kernel) / cfg_.stride + 1;
+  const std::size_t ow = (iw + 2 * cfg_.pad - cfg_.kernel) / cfg_.stride + 1;
+  ADVH_CHECK(grad_out.dims() == shape({batch, cfg_.channels, oh, ow}));
 
   tensor grad_in(input_.dims());
+  const auto k = static_cast<std::ptrdiff_t>(cfg_.kernel);
+  const auto stride = static_cast<std::ptrdiff_t>(cfg_.stride);
+  const auto pad = static_cast<std::ptrdiff_t>(cfg_.pad);
+  const auto sih = static_cast<std::ptrdiff_t>(ih);
+  const auto siw = static_cast<std::ptrdiff_t>(iw);
+  const float* pg = grad_out.data().data();
+  // Each tap accumulates over output positions in (y, x) order, as does
+  // each input-gradient element over (y, x, kh, kw).
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t c = 0; c < cfg_.channels; ++c) {
-      const float* w =
-          weight_.value.data().data() + c * cfg_.kernel * cfg_.kernel;
-      float* dw = weight_.grad.data().data() + c * cfg_.kernel * cfg_.kernel;
+      const std::size_t image = (b * cfg_.channels + c) * ih * iw;
+      float* gimg = grad_in.data().data() + image;
+      const float* img = input_.data().data() + image;
+      const std::size_t filter = c * cfg_.kernel * cfg_.kernel;
+      const float* w = weight_.value.data().data() + filter;
+      float* dw = weight_.grad.data().data() + filter;
+      float* db = bias_ ? &bias_->grad[c] : nullptr;
       for (std::size_t y = 0; y < oh; ++y) {
+        const std::ptrdiff_t y0 = static_cast<std::ptrdiff_t>(y) * stride - pad;
+        const std::ptrdiff_t kh_lo = std::max<std::ptrdiff_t>(0, -y0);
+        const std::ptrdiff_t kh_hi = std::min(k, sih - y0);
         for (std::size_t xw = 0; xw < ow; ++xw) {
-          const float g = grad_out.at(b, c, y, xw);
-          if (bias_) bias_->grad[c] += g;
-          for (std::size_t kh = 0; kh < cfg_.kernel; ++kh) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(y * cfg_.stride + kh) -
-                static_cast<std::ptrdiff_t>(cfg_.pad);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(ih)) continue;
-            for (std::size_t kw = 0; kw < cfg_.kernel; ++kw) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(xw * cfg_.stride + kw) -
-                  static_cast<std::ptrdiff_t>(cfg_.pad);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(iw)) continue;
-              const auto uy = static_cast<std::size_t>(iy);
-              const auto ux = static_cast<std::size_t>(ix);
-              dw[kh * cfg_.kernel + kw] += g * input_.at(b, c, uy, ux);
-              grad_in.at(b, c, uy, ux) += g * w[kh * cfg_.kernel + kw];
+          const std::ptrdiff_t x0 =
+              static_cast<std::ptrdiff_t>(xw) * stride - pad;
+          const std::ptrdiff_t kw_lo = std::max<std::ptrdiff_t>(0, -x0);
+          const std::ptrdiff_t kw_hi = std::min(k, siw - x0);
+          const float g = *pg++;
+          if (db != nullptr) *db += g;
+          for (std::ptrdiff_t kh = kh_lo; kh < kh_hi; ++kh) {
+            float* grow = gimg + (y0 + kh) * siw;
+            const float* wr = w + kh * k;
+            for (std::ptrdiff_t kw = kw_lo; kw < kw_hi; ++kw) {
+              grow[x0 + kw] += g * wr[kw];
+            }
+            const float* row = img + (y0 + kh) * siw;
+            float* dwr = dw + kh * k;
+            for (std::ptrdiff_t kw = kw_lo; kw < kw_hi; ++kw) {
+              dwr[kw] += g * row[x0 + kw];
             }
           }
         }
