@@ -31,7 +31,7 @@ attack_result deepfool::run(nn::model& m, const tensor& x,
 
   for (std::size_t iter = 0; iter < cfg_.max_iter; ++iter) {
     nn::forward_ctx ctx;
-    m.zero_grad();
+    ctx.param_grads = false;  // only d logit / d input is read
     tensor logits = m.forward(adv, ctx);
     const std::size_t current = ops::argmax(logits);
 

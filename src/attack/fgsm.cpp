@@ -9,8 +9,8 @@ namespace advh::attack {
 tensor input_gradient(nn::model& m, const tensor& x, std::size_t label,
                       std::size_t& predicted) {
   ADVH_CHECK(x.dims().rank() == 4 && x.dims()[0] == 1);
-  m.zero_grad();
   nn::forward_ctx ctx;  // inference mode: frozen batch-norm statistics
+  ctx.param_grads = false;  // only d loss / d input is read
   tensor logits = m.forward(x, ctx);
   predicted = ops::argmax(logits);
   tensor grad_logits = nn::nll_grad_single(logits, label);

@@ -19,7 +19,8 @@ class fgsm final : public attack {
 };
 
 /// Computes d cross_entropy(logits, label) / d input for one example.
-/// Shared by FGSM and PGD. Also returns the clean prediction.
+/// Shared by FGSM and PGD. Also returns the clean prediction. Runs the
+/// input-only backward: every parameter .grad is left as it was.
 tensor input_gradient(nn::model& m, const tensor& x, std::size_t label,
                       std::size_t& predicted);
 

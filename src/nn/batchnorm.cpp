@@ -81,12 +81,15 @@ tensor batchnorm2d::forward(const tensor& x, forward_ctx& ctx) {
     }
   }
 
+  // xhat feeds gamma's gradient and the training-statistics input
+  // gradient; the frozen-statistics input gradient reads var and gamma.
+  const bool keep_xhat = ctx.grad && (ctx.training || ctx.param_grads);
   if (ctx.grad) {
+    in_dims_ = x.dims();
     cached_training_ = ctx.training;
-    batch_mean_ = mean;
+    param_grads_ = ctx.param_grads;
     batch_var_ = var;
-    input_ = x;
-    xhat_ = tensor(x.dims());
+    xhat_ = keep_xhat ? tensor(x.dims()) : tensor();
   }
   float* po = out.data().data();
   for (std::size_t c = 0; c < channels_; ++c) {
@@ -100,7 +103,7 @@ tensor batchnorm2d::forward(const tensor& x, forward_ctx& ctx) {
       for (std::size_t i = 0; i < plane; ++i) {
         o[i] = gc * ((p[i] - mc) * inv_std) + bc;
       }
-      if (ctx.grad) {
+      if (keep_xhat) {
         float* xh = xhat_.data().data() + offset(b, c);
         for (std::size_t i = 0; i < plane; ++i) xh[i] = (p[i] - mc) * inv_std;
       }
@@ -120,12 +123,12 @@ tensor batchnorm2d::forward(const tensor& x, forward_ctx& ctx) {
 }
 
 tensor batchnorm2d::backward(const tensor& grad_out) {
-  ADVH_CHECK_MSG(!input_.empty(), "backward before forward");
-  ADVH_CHECK(grad_out.dims() == input_.dims());
-  const std::size_t n = input_.dims()[0];
-  const std::size_t plane = input_.dims()[2] * input_.dims()[3];
+  ADVH_CHECK_MSG(in_dims_.rank() == 4, "backward before forward");
+  ADVH_CHECK(grad_out.dims() == in_dims_);
+  const std::size_t n = in_dims_[0];
+  const std::size_t plane = in_dims_[2] * in_dims_[3];
   const auto m = static_cast<double>(n * plane);
-  tensor grad_in(input_.dims());
+  tensor grad_in(in_dims_);
   const float* pg = grad_out.data().data();
   const float* pxh = xhat_.data().data();
   float* pgi = grad_in.data().data();
@@ -135,17 +138,23 @@ tensor batchnorm2d::backward(const tensor& grad_out) {
     const float gc = gamma_.value[c];
     double sum_g = 0.0;
     double sum_g_xhat = 0.0;
-    // Channel c of batch element b is [(b * C + c) * plane, + plane).
-    for (std::size_t b = 0; b < n; ++b) {
-      const std::size_t o = (b * channels_ + c) * plane;
-      for (std::size_t i = o; i < o + plane; ++i) {
-        const double g = pg[i];
-        sum_g += g;
-        sum_g_xhat += g * pxh[i];
+    // The channel sums feed gamma's and beta's gradients and the
+    // training-statistics input gradient.
+    if (param_grads_ || cached_training_) {
+      // Channel c of batch element b is [(b * C + c) * plane, + plane).
+      for (std::size_t b = 0; b < n; ++b) {
+        const std::size_t o = (b * channels_ + c) * plane;
+        for (std::size_t i = o; i < o + plane; ++i) {
+          const double g = pg[i];
+          sum_g += g;
+          sum_g_xhat += g * pxh[i];
+        }
       }
     }
-    gamma_.grad[c] += static_cast<float>(sum_g_xhat);
-    beta_.grad[c] += static_cast<float>(sum_g);
+    if (param_grads_) {
+      gamma_.grad[c] += static_cast<float>(sum_g_xhat);
+      beta_.grad[c] += static_cast<float>(sum_g);
+    }
 
     if (cached_training_) {
       // Full batch-norm gradient (training statistics).

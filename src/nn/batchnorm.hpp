@@ -37,12 +37,14 @@ class batchnorm2d final : public layer {
   tensor running_mean_;
   tensor running_var_;
 
-  // forward cache (training mode)
-  tensor input_;
+  // backward cache: the input's shape, the variance the forward used
+  // and, unless the statistics were frozen and no parameter gradients
+  // were asked for, the normalised input.
+  shape in_dims_;
   tensor xhat_;
-  std::vector<float> batch_mean_;
   std::vector<float> batch_var_;
   bool cached_training_ = false;
+  bool param_grads_ = false;
 };
 
 }  // namespace advh::nn

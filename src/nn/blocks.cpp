@@ -157,10 +157,10 @@ void dense_block::for_each_child(
 }
 
 tensor dense_block::forward(const tensor& x, forward_ctx& ctx) {
-  if (ctx.grad) unit_inputs_.clear();
+  if (ctx.grad) unit_channels_.clear();
   tensor cur = x;
   for (auto& unit : units_) {
-    if (ctx.grad) unit_inputs_.push_back(cur);
+    if (ctx.grad) unit_channels_.push_back(cur.dims()[1]);
     tensor y = unit->forward(cur, ctx);
     cur = cat_channels(cur, y);
     if (ctx.trace != nullptr) {
@@ -176,12 +176,11 @@ tensor dense_block::forward(const tensor& x, forward_ctx& ctx) {
 }
 
 tensor dense_block::backward(const tensor& grad_out) {
-  ADVH_CHECK_MSG(unit_inputs_.size() == units_.size(),
+  ADVH_CHECK_MSG(unit_channels_.size() == units_.size(),
                  "backward before forward");
   tensor g = grad_out;
   for (std::size_t s = units_.size(); s-- > 0;) {
-    const std::size_t c_in = unit_inputs_[s].dims()[1];
-    auto [g_prev, g_unit] = split_channels(g, c_in);
+    auto [g_prev, g_unit] = split_channels(g, unit_channels_[s]);
     tensor g_from_unit = units_[s]->backward(g_unit);
     g = ops::add(g_prev, g_from_unit);
   }

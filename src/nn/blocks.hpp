@@ -68,7 +68,7 @@ class dense_block final : public layer {
   std::size_t in_channels_;
   std::size_t growth_;
   std::vector<std::unique_ptr<sequential>> units_;
-  std::vector<tensor> unit_inputs_;  // cached concatenated inputs
+  std::vector<std::size_t> unit_channels_;  // each unit's input channels
 };
 
 /// DenseNet transition: bn-relu-1x1 conv (channel reduction) + 2x2 avgpool.

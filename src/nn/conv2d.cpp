@@ -69,18 +69,23 @@ tensor conv2d::forward(const tensor& x, forward_ctx& ctx) {
   const bool pointwise =
       cfg_.kernel == 1 && cfg_.stride == 1 && cfg_.pad == 0;
 
+  // dW = gy * cols^T reads the column matrices; the input gradient reads
+  // only the input's shape, so without parameter gradients the forward
+  // lowers into scratch as inference does.
+  const bool keep_cols = ctx.grad && ctx.param_grads;
   if (ctx.grad) {
-    input_ = x;
+    in_dims_ = x.dims();
+    param_grads_ = ctx.param_grads;
     cols_.clear();
-    cols_.reserve(batch);
+    if (keep_cols) cols_.reserve(batch);
   }
 
   tensor out(shape{batch, cfg_.out_channels, g.out_h(), g.out_w()});
   for (std::size_t b = 0; b < batch; ++b) {
     const float* px = x.data().data() + b * image;
     const float* cols = px;
-    if (ctx.grad) {
-      cols_.push_back(ops::im2col(x, b, g));  // backward needs it
+    if (keep_cols) {
+      cols_.push_back(ops::im2col(x, b, g));
       cols = cols_.back().data().data();
     } else if (!pointwise) {
       float* scratch = ctx.scratch.get(rows * plane);
@@ -120,18 +125,17 @@ tensor conv2d::forward(const tensor& x, forward_ctx& ctx) {
 }
 
 tensor conv2d::backward(const tensor& grad_out) {
-  ADVH_CHECK_MSG(!input_.empty(), "backward before forward");
-  const std::size_t batch = input_.dims()[0];
-  const ops::conv_geometry g{cfg_.in_channels, input_.dims()[2],
-                             input_.dims()[3], cfg_.kernel,
-                             cfg_.kernel,      cfg_.stride,
+  ADVH_CHECK_MSG(in_dims_.rank() == 4, "backward before forward");
+  const std::size_t batch = in_dims_[0];
+  const ops::conv_geometry g{cfg_.in_channels, in_dims_[2], in_dims_[3],
+                             cfg_.kernel,      cfg_.kernel, cfg_.stride,
                              cfg_.pad};
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
   ADVH_CHECK(grad_out.dims() ==
              shape({batch, cfg_.out_channels, oh, ow}));
 
-  tensor grad_in(input_.dims());
+  tensor grad_in(in_dims_);
   for (std::size_t b = 0; b < batch; ++b) {
     tensor gy(shape{cfg_.out_channels, oh * ow});
     const float* pg =
@@ -139,17 +143,21 @@ tensor conv2d::backward(const tensor& grad_out) {
     float* pgy = gy.data().data();
     for (std::size_t i = 0; i < gy.numel(); ++i) pgy[i] = pg[i];
 
-    // dW += gy * cols^T  -> (out_c, rows)
-    tensor dw = ops::matmul_a_bt(gy, cols_[b]);
-    auto wgrad = weight_.grad.data();
-    const float* pdw = dw.data().data();
-    for (std::size_t i = 0; i < wgrad.size(); ++i) wgrad[i] += pdw[i];
+    if (param_grads_) {
+      // dW += gy * cols^T  -> (out_c, rows)
+      tensor dw = ops::matmul_a_bt(gy, cols_[b]);
+      auto wgrad = weight_.grad.data();
+      const float* pdw = dw.data().data();
+      for (std::size_t i = 0; i < wgrad.size(); ++i) wgrad[i] += pdw[i];
 
-    if (bias_) {
-      for (std::size_t c = 0; c < cfg_.out_channels; ++c) {
-        double acc = 0.0;
-        for (std::size_t i = 0; i < oh * ow; ++i) acc += pgy[c * oh * ow + i];
-        bias_->grad[c] += static_cast<float>(acc);
+      if (bias_) {
+        for (std::size_t c = 0; c < cfg_.out_channels; ++c) {
+          double acc = 0.0;
+          for (std::size_t i = 0; i < oh * ow; ++i) {
+            acc += pgy[c * oh * ow + i];
+          }
+          bias_->grad[c] += static_cast<float>(acc);
+        }
       }
     }
 

@@ -41,9 +41,11 @@ class conv2d final : public layer {
   parameter weight_;             // (out, in*k*k) as a GEMM-ready matrix
   std::optional<parameter> bias_;
 
-  // forward cache
-  tensor input_;
-  std::vector<tensor> cols_;  // per batch element
+  // backward cache: the input's shape and, when the forward asked for
+  // parameter gradients, the column matrix of each batch element.
+  shape in_dims_;
+  bool param_grads_ = false;
+  std::vector<tensor> cols_;
 };
 
 }  // namespace advh::nn

@@ -54,7 +54,11 @@ tensor depthwise_conv2d::forward(const tensor& x, forward_ctx& ctx) {
   const std::size_t oh = (ih + 2 * cfg_.pad - cfg_.kernel) / cfg_.stride + 1;
   const std::size_t ow = (iw + 2 * cfg_.pad - cfg_.kernel) / cfg_.stride + 1;
 
-  if (ctx.grad) input_ = x;
+  if (ctx.grad) {
+    in_dims_ = x.dims();
+    param_grads_ = ctx.param_grads;
+    input_ = param_grads_ ? x : tensor();
+  }
   tensor out(shape{batch, cfg_.channels, oh, ow});
   const auto k = static_cast<std::ptrdiff_t>(cfg_.kernel);
   const auto stride = static_cast<std::ptrdiff_t>(cfg_.stride);
@@ -114,15 +118,15 @@ tensor depthwise_conv2d::forward(const tensor& x, forward_ctx& ctx) {
 }
 
 tensor depthwise_conv2d::backward(const tensor& grad_out) {
-  ADVH_CHECK_MSG(!input_.empty(), "backward before forward");
-  const std::size_t batch = input_.dims()[0];
-  const std::size_t ih = input_.dims()[2];
-  const std::size_t iw = input_.dims()[3];
+  ADVH_CHECK_MSG(in_dims_.rank() == 4, "backward before forward");
+  const std::size_t batch = in_dims_[0];
+  const std::size_t ih = in_dims_[2];
+  const std::size_t iw = in_dims_[3];
   const std::size_t oh = (ih + 2 * cfg_.pad - cfg_.kernel) / cfg_.stride + 1;
   const std::size_t ow = (iw + 2 * cfg_.pad - cfg_.kernel) / cfg_.stride + 1;
   ADVH_CHECK(grad_out.dims() == shape({batch, cfg_.channels, oh, ow}));
 
-  tensor grad_in(input_.dims());
+  tensor grad_in(in_dims_);
   const auto k = static_cast<std::ptrdiff_t>(cfg_.kernel);
   const auto stride = static_cast<std::ptrdiff_t>(cfg_.stride);
   const auto pad = static_cast<std::ptrdiff_t>(cfg_.pad);
@@ -135,11 +139,11 @@ tensor depthwise_conv2d::backward(const tensor& grad_out) {
     for (std::size_t c = 0; c < cfg_.channels; ++c) {
       const std::size_t image = (b * cfg_.channels + c) * ih * iw;
       float* gimg = grad_in.data().data() + image;
-      const float* img = input_.data().data() + image;
+      const float* img = param_grads_ ? input_.data().data() + image : nullptr;
       const std::size_t filter = c * cfg_.kernel * cfg_.kernel;
       const float* w = weight_.value.data().data() + filter;
       float* dw = weight_.grad.data().data() + filter;
-      float* db = bias_ ? &bias_->grad[c] : nullptr;
+      float* db = param_grads_ && bias_ ? &bias_->grad[c] : nullptr;
       for (std::size_t y = 0; y < oh; ++y) {
         const std::ptrdiff_t y0 = static_cast<std::ptrdiff_t>(y) * stride - pad;
         const std::ptrdiff_t kh_lo = std::max<std::ptrdiff_t>(0, -y0);
@@ -157,6 +161,7 @@ tensor depthwise_conv2d::backward(const tensor& grad_out) {
             for (std::ptrdiff_t kw = kw_lo; kw < kw_hi; ++kw) {
               grow[x0 + kw] += g * wr[kw];
             }
+            if (img == nullptr) continue;
             const float* row = img + (y0 + kh) * siw;
             float* dwr = dw + kh * k;
             for (std::ptrdiff_t kw = kw_lo; kw < kw_hi; ++kw) {

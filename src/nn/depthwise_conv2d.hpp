@@ -38,6 +38,11 @@ class depthwise_conv2d final : public layer {
   depthwise_conv2d_config cfg_;
   parameter weight_;  // (channels, k*k)
   std::optional<parameter> bias_;
+
+  // backward cache: the input's shape and, when the forward asked for
+  // parameter gradients, the input dW reads.
+  shape in_dims_;
+  bool param_grads_ = false;
   tensor input_;
 };
 

@@ -1,9 +1,10 @@
 // Layer abstraction for the from-scratch NN engine.
 //
 // Every layer supports forward (with optional data-flow tracing) and
-// backward (gradient w.r.t. its input, accumulating parameter gradients),
-// which is what the gradient-based attacks (FGSM/PGD/DeepFool) require even
-// though the *defender* in the paper only ever runs forward.
+// backward (gradient w.r.t. its input, optionally accumulating parameter
+// gradients), which is what training and the gradient-based attacks
+// (FGSM/PGD/DeepFool) require even though the *defender* in the paper only
+// ever runs forward.
 #pragma once
 
 #include <functional>
@@ -39,7 +40,8 @@ class layer {
   virtual tensor forward(const tensor& x, forward_ctx& ctx) = 0;
 
   /// Propagates `grad_out` (d loss / d output) to d loss / d input, adding
-  /// into parameter .grad members. Must follow a forward() call.
+  /// into parameter .grad members when that forward() ran with
+  /// forward_ctx::param_grads. Must follow a forward() call with grad on.
   virtual tensor backward(const tensor& grad_out) = 0;
 
   /// Appends pointers to this layer's learnable parameters.

@@ -37,7 +37,11 @@ shape linear::infer_output_shape(const shape& in) const {
 tensor linear::forward(const tensor& x, forward_ctx& ctx) {
   ADVH_CHECK_MSG(x.dims().rank() == 2, name_ + ": linear expects rank-2 input");
   ADVH_CHECK_MSG(x.dims()[1] == in_, name_ + ": feature mismatch");
-  if (ctx.grad) input_ = x;
+  if (ctx.grad) {
+    in_dims_ = x.dims();
+    param_grads_ = ctx.param_grads;
+    input_ = param_grads_ ? x : tensor();
+  }
   tensor out = ops::matmul_a_bt(x, weight_.value);  // (batch, out)
   if (bias_) {
     const std::size_t batch = x.dims()[0];
@@ -68,20 +72,22 @@ tensor linear::forward(const tensor& x, forward_ctx& ctx) {
 }
 
 tensor linear::backward(const tensor& grad_out) {
-  ADVH_CHECK_MSG(!input_.empty(), "backward before forward");
-  ADVH_CHECK(grad_out.dims().rank() == 2 && grad_out.dims()[1] == out_);
+  ADVH_CHECK_MSG(in_dims_.rank() == 2, "backward before forward");
+  ADVH_CHECK(grad_out.dims() == shape({in_dims_[0], out_}));
   // dW += g^T x ; db += sum over batch ; dx = g W
-  tensor dw = ops::matmul_at_b(grad_out, input_);  // (out, in)
-  auto wg = weight_.grad.data();
-  const float* pdw = dw.data().data();
-  for (std::size_t i = 0; i < wg.size(); ++i) wg[i] += pdw[i];
+  if (param_grads_) {
+    tensor dw = ops::matmul_at_b(grad_out, input_);  // (out, in)
+    auto wg = weight_.grad.data();
+    const float* pdw = dw.data().data();
+    for (std::size_t i = 0; i < wg.size(); ++i) wg[i] += pdw[i];
 
-  if (bias_) {
-    const std::size_t batch = grad_out.dims()[0];
-    auto g = grad_out.data();
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t j = 0; j < out_; ++j) {
-        bias_->grad[j] += g[b * out_ + j];
+    if (bias_) {
+      const std::size_t batch = grad_out.dims()[0];
+      auto g = grad_out.data();
+      for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t j = 0; j < out_; ++j) {
+          bias_->grad[j] += g[b * out_ + j];
+        }
       }
     }
   }

@@ -29,6 +29,11 @@ class linear final : public layer {
   std::size_t out_;
   parameter weight_;  // (out, in)
   std::optional<parameter> bias_;
+
+  // backward cache: the input's shape and, when the forward asked for
+  // parameter gradients, the input dW reads.
+  shape in_dims_;
+  bool param_grads_ = false;
   tensor input_;
 };
 

@@ -107,6 +107,11 @@ struct forward_ctx {
   /// shared model from many workers — set this false; backward() after a
   /// grad=false forward is a programming error.
   bool grad = true;
+  /// With grad on: whether the backward() that follows accumulates
+  /// parameter .grad members. The attacks read only d loss / d input and
+  /// set this false; layers then cache only what their input gradient
+  /// reads, and backward() leaves every .grad untouched.
+  bool param_grads = true;
   /// When non-null (requires batch size 1) layers append trace entries.
   inference_trace* trace = nullptr;
   scratch_buffer scratch;

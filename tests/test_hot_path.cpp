@@ -16,9 +16,12 @@
 //
 // FGSM sees only the sign of an input gradient, so the gradients are pinned
 // on their own: the bits of each input's gradient and of every parameter
-// gradient, in inference mode and in one training-mode batch.
+// gradient, in inference mode and in one training-mode batch. The attacks'
+// input-only backward must return the full backward's input gradient and
+// leave every parameter gradient alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
@@ -33,6 +36,7 @@
 #include "nn/loss.hpp"
 #include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
+#include "tensor/ops.hpp"
 #include "uarch/trace_gen.hpp"
 
 namespace advh {
@@ -188,6 +192,73 @@ TEST(HotPath, GoldenGradientsS1toS3) {
   EXPECT_EQ(gradient_digest(data::scenario_id::s1), "0xa57024f6ef3befd0");
   EXPECT_EQ(gradient_digest(data::scenario_id::s2), "0xf5af5e0ae6096f72");
   EXPECT_EQ(gradient_digest(data::scenario_id::s3), "0x3f50ae4c805fafeb");
+}
+
+bool same_bits(const tensor& a, const tensor& b) {
+  return a.dims() == b.dims() &&
+         std::equal(a.data().begin(), a.data().end(), b.data().begin(),
+                    [](float x, float y) {
+                      return std::bit_cast<std::uint32_t>(x) ==
+                             std::bit_cast<std::uint32_t>(y);
+                    });
+}
+
+TEST(HotPath, InputOnlyBackwardMatchesFullS1toS3) {
+  constexpr float kSentinel = -1234.5f;
+  for (data::scenario_id id : {data::scenario_id::s1, data::scenario_id::s2,
+                               data::scenario_id::s3}) {
+    const hot_path_case c = load_case(id);
+    nn::model& m = *c.model;
+    const std::string name = "S" + std::to_string(static_cast<int>(id) + 1);
+    const auto fill_sentinel = [&] {
+      for (nn::parameter* p : m.params()) p->grad.fill(kSentinel);
+    };
+    const auto expect_untouched = [&](const std::string& what) {
+      for (const nn::parameter* p : m.params()) {
+        for (float v : p->grad.data()) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(v),
+                    std::bit_cast<std::uint32_t>(kSentinel))
+              << name << " " << what << ": " << p->name;
+        }
+      }
+    };
+    for (std::size_t i = 0; i < c.inputs.size(); ++i) {
+      const tensor& x = c.inputs[i];
+      const std::size_t label = i % m.num_classes();
+      const std::string what = "input " + std::to_string(i);
+
+      // The full backward: parameter gradients on.
+      nn::forward_ctx full;
+      const tensor logits = m.forward(x, full);
+      const tensor want = m.backward(nn::nll_grad_single(logits, label));
+      std::vector<tensor> want_logit;  // DeepFool's per-class backwards
+      for (std::size_t cls = 0; cls < 3; ++cls) {
+        tensor one_hot(logits.dims());
+        one_hot[cls] = 1.0f;
+        want_logit.push_back(m.backward(one_hot));
+      }
+
+      fill_sentinel();
+      std::size_t predicted = 0;
+      EXPECT_TRUE(same_bits(attack::input_gradient(m, x, label, predicted),
+                            want))
+          << name << " " << what;
+      EXPECT_EQ(predicted, ops::argmax(logits)) << name << " " << what;
+      expect_untouched(what + ", input_gradient");
+
+      // One input-only forward, then three backwards from its caches.
+      nn::forward_ctx input_only;
+      input_only.param_grads = false;
+      EXPECT_TRUE(same_bits(m.forward(x, input_only), logits));
+      for (std::size_t cls = 0; cls < 3; ++cls) {
+        tensor one_hot(logits.dims());
+        one_hot[cls] = 1.0f;
+        EXPECT_TRUE(same_bits(m.backward(one_hot), want_logit[cls]))
+            << name << " " << what << ", logit " << cls;
+      }
+      expect_untouched(what + ", logit backwards");
+    }
+  }
 }
 
 TEST(HotPath, GoldenCountsAcrossGeometries) {
