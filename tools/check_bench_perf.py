@@ -9,7 +9,9 @@ must name a BENCHMARK.json workload and count at least one pair, and its
 `parent` and `change` must hold the same metric names, each an end-to-end
 metric of BENCHMARK.json. `paired_ratio_medians` may only name end-to-end
 metrics; a `traced` block needs `runs_per_side` >= 1 and the same metric
-names on both sides, each a metric of BENCHMARK.json. Prints one line per
+names on both sides, each a metric of BENCHMARK.json, and an
+`untraced_per_layer` block (per-layer medians of the untraced runs) the
+same names on both sides, each a per-layer metric. Prints one line per
 problem and exits 1 when there is any, 0 otherwise.
 """
 
@@ -23,7 +25,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def problems(perf, bench):
     workloads = {w["name"] for w in bench["workloads"]}
     end_to_end = {m["name"] for m in bench["end_to_end"]}
-    metrics = end_to_end | {m["name"] for m in bench["per_layer"]}
+    per_layer = {m["name"] for m in bench["per_layer"]}
+    metrics = end_to_end | per_layer
     out = []
 
     def sides(where, block, allowed):
@@ -74,6 +77,9 @@ def problems(perf, bench):
                 if not isinstance(n, int) or n < 1:
                     out.append(f"{at}.traced: runs_per_side must be >= 1")
                 sides(at + ".traced", traced, metrics)
+            if "untraced_per_layer" in run:
+                sides(at + ".untraced_per_layer", run["untraced_per_layer"],
+                      per_layer)
     return out
 
 
